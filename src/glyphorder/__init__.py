@@ -12,8 +12,8 @@ from .ingest import (DuplicateToken, EmptyTable, FrequencyTable, ParseError, Tar
                      parse_decompositions, parse_frequencies, parse_order, parse_order_csv,
                      parse_target_list, segment_coverage, serialize_decompositions,
                      serialize_frequencies, serialize_order)
-from .metrics import (COMPARISON_HORIZON, DEFAULT_HORIZONS, ClusterRow, ClusterStats,
-                      CostMode, LearningCurve, MissingCost, NonPositiveHorizon,
+from .metrics import (DEFAULT_HORIZONS, ClusterRow, ClusterStats, CostMode,
+                      LearningCurve, MissingCost, NonPositiveHorizon,
                       NotTopological, at_horizon, cluster_stats, curve, curve_summary_json,
                       serialize_cluster_csv, serialize_curve_csv, table_report)
 from .network import (CycleDetected, DanglingReference, DecompositionNetwork, DuplicateId,
@@ -33,7 +33,7 @@ __all__ = [
     "parse_decompositions", "parse_frequencies", "parse_order", "parse_order_csv",
     "parse_target_list", "segment_coverage", "serialize_decompositions",
     "serialize_frequencies", "serialize_order",
-    "COMPARISON_HORIZON", "DEFAULT_HORIZONS", "ClusterRow", "ClusterStats", "CostMode",
+    "DEFAULT_HORIZONS", "ClusterRow", "ClusterStats", "CostMode",
     "LearningCurve", "MissingCost", "NonPositiveHorizon", "NotTopological", "at_horizon",
     "cluster_stats", "curve", "curve_summary_json", "serialize_cluster_csv",
     "serialize_curve_csv", "table_report",

@@ -32,7 +32,7 @@ from .ingest import (ParseError, parse_decompositions, parse_frequencies,
                      parse_order, parse_order_csv, parse_target_list, serialize_order)
 from .metrics import (DEFAULT_HORIZONS, CostMode, MissingCost, NotTopological, at_horizon,
                       cluster_stats, curve, curve_summary_json, serialize_cluster_csv,
-                      serialize_curve_csv)
+                      serialize_curve_csv, truncate)
 from .network import CycleDetected, NetworkError, build_network
 from .ordering import (Provenance, external_order, expand_selection, priority_topo_sort,
                        pure_frequency_order, serialize_order_csv, validate_topological)
@@ -163,11 +163,11 @@ def cmd_order(args) -> int:
     out = cfg.out
     _write(out / "order.csv", serialize_order_csv(net, order))
     _write(out / "order.txt", serialize_order(order.ids()))
+    widest, results = _horizon_results(net, order, cfg.horizons)
     for h in cfg.horizons:
-        cv = curve(net, order, h)
+        cv = truncate(widest, h)
         _write(out / ("curve_c%g.csv" % h), serialize_curve_csv(cv))
         _write(out / ("curve_c%g.json" % h), curve_summary_json(cv))
-    _, results = _horizon_results(net, order, cfg.horizons)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "provenance": order.provenance.value,
@@ -296,11 +296,11 @@ def cmd_words(args) -> int:
     out = cfg.out
     _write(out / "words_order.csv", serialize_order_csv(net, order))
     _write(out / "words_order.txt", serialize_order(order.ids()))
+    widest, results = _horizon_results(net, order, cfg.horizons)
     for h in cfg.horizons:
-        cv = curve(net, order, h)
+        cv = truncate(widest, h)
         _write(out / ("words_curve_c%g.csv" % h), serialize_curve_csv(cv))
         _write(out / ("words_curve_c%g.json" % h), curve_summary_json(cv))
-    _, results = _horizon_results(net, order, cfg.horizons)
     report_lines = ["%s\t%s" % (w, why) for w, why in dropped]
     _write(out / "dropped_words.txt", "\n".join(report_lines) + "\n" if report_lines else "")
     summary = {

@@ -23,7 +23,7 @@ averages over the order.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -34,7 +34,6 @@ from .network import DecompositionNetwork
 from .ordering import LearningOrder, validate_topological
 
 DEFAULT_HORIZONS = (500.0, 1500.0)
-COMPARISON_HORIZON = 4000.0
 
 
 class NotTopological(Exception):
@@ -171,6 +170,18 @@ def at_horizon(cv: LearningCurve, h: float) -> tuple[int, float, float]:
     final = kept[-1][1] if kept else 0.0
     mean = _step_area(kept, h) / h
     return n, final, mean
+
+
+def truncate(cv: LearningCurve, h: float) -> LearningCurve:
+    """The stored curve cut back to a smaller horizon h, 0 < h <= cv.c0.
+
+    Keeps the corners with C <= h and their counts; the summary numbers
+    come from `at_horizon`, so the result equals `curve` evaluated at h.
+    """
+    n, final, mean = at_horizon(cv, h)
+    k = bisect_right(cv.points, h, key=lambda point: point[0])
+    return LearningCurve(points=cv.points[:k], counts=cv.counts[:k], c0=h,
+                         final_efficiency=final, mean_efficiency=mean, n_learned=n)
 
 
 @dataclass(frozen=True)

@@ -110,36 +110,57 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
     eta is at least the member's own (at the very front when no such item
     exists). Equal-eta placement therefore lands right of its equals.
 
-    Every insertion pushes the current glyph one slot right; the sweep
-    resumes just left of the glyph's final slot, so anything that landed
-    left of it, including the members just moved, is examined in turn.
-    Items that are never repositioned keep their relative ranking, and an
-    already-hierarchal list passes through unchanged.
+    The sweep resumes just left of the glyph's final place, so anything
+    that landed left of it, including the members just moved, is examined
+    in turn. Items that are never repositioned keep their relative
+    ranking, and an already-hierarchal list passes through unchanged.
+
+    The list is doubly linked by glyph id and keeps no positions. Every
+    move lands left of the cursor and the cursor only walks left, so the
+    items right of the cursor are exactly those it has passed and that
+    have not moved since (`swept`). A move unlinks the member and walks
+    left from the cursor past items of lower eta. The ranking is in
+    descending eta order and insertions keep the part left of the cursor
+    so, which leaves only members just placed for the same glyph to walk
+    past: the walk is at most one closure wide. Zero-cost items of zero
+    frequency rank first with eta 0, out of that order, and can lengthen
+    it. Each cursor visit scans one closure and a moved member is visited
+    again, so the sweep makes pool + moves visits, each costing one
+    closure scan plus one walk per move.
     """
     pool = expand_selection(net, select)
-    order = table.ranked(pool)
-    pos = {glyph: k for k, glyph in enumerate(order)}
+    ranked = table.ranked(pool)
+    eta = {glyph: table.eta(glyph) for glyph in ranked}
+    # None is the sentinel joining both ends of a circular list.
+    ring = [None, *ranked]
+    prev = dict(zip(ring, ring[-1:] + ring[:-1]))
+    nxt = dict(zip(ring, ring[1:] + ring[:1]))
+    swept: set[str] = set()
 
-    i = len(order) - 1
-    while i >= 0:
-        glyph = order[i]
+    glyph = prev[None]
+    while glyph is not None:
         for member in net.closure(glyph):
-            here = pos[glyph]
-            j = pos[member]
-            if j <= here:
+            if member not in swept:
                 continue
-            eta_m = table.eta(member)
-            q = 0
-            for k in range(here - 1, -1, -1):
-                if table.eta(order[k]) >= eta_m:
-                    q = k + 1
-                    break
-            order.pop(j)
-            order.insert(q, member)
-            for k in range(q, j + 1):
-                pos[order[k]] = k
-        i = pos[glyph] - 1
+            swept.discard(member)
+            before, after = prev[member], nxt[member]
+            nxt[before] = after
+            prev[after] = before
+            eta_m = eta[member]
+            left = prev[glyph]
+            while left is not None and eta[left] < eta_m:
+                left = prev[left]
+            right = nxt[left]
+            prev[member], nxt[member] = left, right
+            nxt[left] = prev[right] = member
+        swept.add(glyph)
+        glyph = prev[glyph]
 
+    order = []
+    glyph = nxt[None]
+    while glyph is not None:
+        order.append(glyph)
+        glyph = nxt[glyph]
     return LearningOrder(items=_make_items(table, order),
                          provenance=Provenance.OPTIMIZED)
 

@@ -8,9 +8,11 @@ import pytest
 from glyphorder.costmodel import Centrality, CentralityTable
 from glyphorder.metrics import (CostMode, MissingCost, NonPositiveHorizon, NotTopological,
                                 at_horizon, cluster_stats, curve, curve_summary_json,
-                                serialize_cluster_csv, serialize_curve_csv, table_report)
+                                serialize_cluster_csv, serialize_curve_csv, table_report,
+                                truncate)
 from glyphorder.network import GlyphKind, GlyphNode, build_network
-from glyphorder.ordering import external_order, kahn_order, priority_topo_sort
+from glyphorder.ordering import (external_order, kahn_order, priority_topo_sort,
+                                 pure_frequency_order)
 
 from conftest import random_centralities, random_network
 
@@ -205,6 +207,25 @@ def test_at_horizon_matches_fresh_evaluation():
             assert n == fresh.n_learned
             assert final == pytest.approx(fresh.final_efficiency, abs=1e-12)
             assert mean == pytest.approx(fresh.mean_efficiency, abs=1e-12)
+
+
+def test_truncate_equals_fresh_curve():
+    # Exact equality, corners and all, including horizons that sit on a
+    # corner: the CLI writes truncated curves in place of fresh ones.
+    rng = random.Random(56)
+    for _ in range(40):
+        net = random_network(rng, max_nodes=18)
+        table = random_centralities(rng, net)
+        cost_lookup = {g: table[g].c for g in net.ids()}
+        total = sum(table[g].c for g in net.ids())
+        optimized = priority_topo_sort(net, table, set(net.ids()))
+        rote = pure_frequency_order(table, net.ids())
+        for order, mode in ((optimized, CostMode.HIERARCHAL),
+                            (rote, CostMode.CHARGE_UNLEARNED)):
+            wide = curve(net, order, total * 1.3, mode, cost_lookup)
+            corners = [c for c, _ in wide.points[::3]]
+            for h in corners + [frac * total * 1.3 for frac in (0.15, 0.4, 0.7, 1.0)]:
+                assert truncate(wide, h) == curve(net, order, h, mode, cost_lookup)
 
 
 def test_mean_matches_quadrature_oracle():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glyphorder.costmodel import Centrality, CentralityTable
 from glyphorder.metrics import CostMode, curve
@@ -81,6 +83,44 @@ def test_matches_naive_oracle_on_random_networks():
         expected, _ = oracle_sweep(net, table, select)
         got = priority_topo_sort(net, table, select)
         assert got.ids() == expected
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), distinct_eta=st.booleans())
+def test_matches_naive_oracle_on_larger_networks(seed, distinct_eta):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=200, sparse=rng.random() < 0.3)
+    while len(net) < 50:
+        net = random_network(rng, max_nodes=200, sparse=rng.random() < 0.3)
+    table = random_centralities(rng, net, distinct_eta=distinct_eta)
+    ids = list(net.ids())
+    select = set(rng.sample(ids, rng.randint(1, len(ids))))
+    expected, _ = oracle_sweep(net, table, select)
+    assert priority_topo_sort(net, table, select).ids() == expected
+
+
+def test_wide_closure_walk_matches_oracle():
+    # W lists k zero-frequency components before S, which V shares.
+    # While W is repaired its Z's land just left of it first, so S's
+    # walk passes all k of them on its way to the front.
+    k = 6
+    zs = ["Z%d" % i for i in range(k)]
+    net = build_network([GlyphNode(z, P, (), 1) for z in zs] + [
+        GlyphNode("S", P, (), 2),
+        GlyphNode("W", C, tuple(zs) + ("S",), 9),
+        GlyphNode("V", C, ("S", zs[-1]), 4),
+    ])
+    entries = {z: Centrality(f=0.0, c=1.0, eta=0.0) for z in zs}
+    entries.update({
+        "W": Centrality(f=0.5, c=0.1, eta=5.0),
+        "V": Centrality(f=0.4, c=0.1, eta=4.0),
+        "S": Centrality(f=0.3, c=0.1, eta=3.0),
+    })
+    table = CentralityTable(entries)
+    expected, _ = oracle_sweep(net, table, {"W", "V"})
+    got = priority_topo_sort(net, table, {"W", "V"}).ids()
+    assert got == expected == ["S"] + zs + ["W", "V"]
+    assert validate_topological(net, got) == []
 
 
 def test_output_valid_and_permutation_random():
