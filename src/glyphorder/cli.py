@@ -230,16 +230,14 @@ def cmd_compare(args) -> int:
             print("error: %s: unknown glyph %s" % (label, exc), file=sys.stderr)
             continue
         evaluated += 1
-        violations = validate_topological(net, order)
-        modes = [CostMode.CHARGE_UNLEARNED]
-        if violations:
-            print("%s: not hierarchal (%d violations); hierarchal metrics skipped"
-                  % (label, len(violations)))
-        else:
-            modes.insert(0, CostMode.HIERARCHAL)
-        for mode in modes:
+        for mode in (CostMode.HIERARCHAL, CostMode.CHARGE_UNLEARNED):
+            try:
+                widest, results = _horizon_results(net, order, cfg.horizons, mode, cost_lookup)
+            except NotTopological as exc:
+                print("%s: not hierarchal (%d violations); hierarchal metrics skipped"
+                      % (label, len(exc.violations)))
+                continue
             tag = "hier" if mode is CostMode.HIERARCHAL else "charge"
-            widest, results = _horizon_results(net, order, cfg.horizons, mode, cost_lookup)
             for h in cfg.horizons:
                 r = results["%g" % h]
                 rows.append("%s,%s,%g,%d,%.3f,%.3f" % (

@@ -81,14 +81,35 @@ class LearningCurve:
 
 
 def _step_area(points: Sequence[tuple[float, float]], c0: float) -> float:
-    """Exact area under the step function on [0, c0]; F is 0 before the
-    first corner and holds each corner's value until the next."""
-    if not points:
-        return 0.0
-    cs = np.array([p[0] for p in points], dtype=float)
-    fs = np.array([p[1] for p in points], dtype=float)
-    edges = np.append(cs, c0)
-    return float(np.sum(fs * np.diff(edges)))
+    """Area under the step function on [0, c0]; F is 0 before the
+    first corner and holds each corner's value until the next.
+
+    Each corner contributes F times the width up to the next corner (or
+    c0), and the contributions are added in floats, left to right. That
+    fixed order keeps every caller's score bit-identical for the same
+    corners, which brute force relies on to compare candidates.
+    """
+    area = 0.0
+    for k, (c, f) in enumerate(points, start=1):
+        right = points[k][0] if k < len(points) else c0
+        area += f * (right - c)
+    return area
+
+
+def _next_corner(points: Sequence[tuple[float, float]], cost: float, freq: float,
+                 c0: float) -> tuple[tuple[float, float], bool] | None:
+    """The corner one more item settles, and whether it replaces the last.
+
+    The running sums are the last corner, (0, 0) before the first. An
+    item whose cost would take them past `c0` is over budget and gives
+    None. An item that leaves the running cost where it was (zero cost)
+    merges into the last corner.
+    """
+    cum_cost, cum_freq = points[-1] if points else (0.0, 0.0)
+    if cum_cost + cost > c0:
+        return None
+    corner = (cum_cost + cost, cum_freq + freq)
+    return corner, bool(points) and cum_cost == corner[0]
 
 
 def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
@@ -120,8 +141,6 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
 
     points: list[tuple[float, float]] = []
     counts: list[int] = []
-    cum_cost = 0.0
-    cum_freq = 0.0
     n_learned = 0
     learned: set[str] = set()
 
@@ -135,17 +154,17 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
                     eff_cost += charge_costs[member]
                 except KeyError:
                     raise MissingCost(member) from None
-        if cum_cost + eff_cost > c0:
+        step = _next_corner(points, eff_cost, item.freq, c0)
+        if step is None:
             break
-        cum_cost += eff_cost
-        cum_freq += item.freq
+        corner, merge = step
         learned.add(item.glyph)
         n_learned += 1
-        if points and points[-1][0] == cum_cost:
-            points[-1] = (cum_cost, cum_freq)
+        if merge:
+            points[-1] = corner
             counts[-1] += 1
         else:
-            points.append((cum_cost, cum_freq))
+            points.append(corner)
             counts.append(1)
 
     final = points[-1][1] if points else 0.0

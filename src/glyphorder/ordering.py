@@ -242,18 +242,23 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     Enumerates every topological order of the selection (plus closure
     members) in lexicographic order and keeps the one with the highest
     mean efficiency at horizon `c0`, breaking ties by higher final
-    efficiency and then by the enumeration order itself. Scoring goes
-    through the same curve computation as every other order, so the
-    comparison with the sweep is apples to apples. Exponential time;
-    refuses more than `limit` nodes.
+    efficiency and then by the enumeration order itself. Exponential
+    time; refuses more than `limit` nodes.
 
-    One pruning keeps this usable: once a prefix's cumulative cost
-    exceeds `c0`, items past the first over-budget one are excluded from
-    the curve, so every completion scores the same and the subtree
-    collapses to its lexicographically first completion.
+    The search places an item only after its components, so every order
+    it builds is hierarchal, and it carries the prefix's curve corners
+    along instead of building and validating each candidate. Each item
+    is paid by `curve`'s own rule in the same floating-point operations,
+    and a candidate is scored from its corners by `curve`'s own area sum,
+    so every score is bit-for-bit the one `curve` gives for that order.
+
+    Once an item is over budget, nothing after it counts: every
+    completion of that prefix scores the same, so the subtree collapses
+    to its lexicographically first completion, built only when its score
+    beats the best so far.
     """
     # Local import; metrics depends on this module for LearningOrder.
-    from .metrics import curve
+    from .metrics import _next_corner, _step_area
 
     pool = expand_selection(net, select)
     if len(pool) > limit:
@@ -262,17 +267,31 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
         raise ValueError("c0 must be positive")
 
     ids = sorted(pool)
-    comps_in_pool = {g: set(net.node(g).components) & pool for g in ids}
-    blocked = {g: len(comps_in_pool[g]) for g in ids}
+    cost = {g: table[g].c for g in ids}
+    freq = {g: table[g].f for g in ids}
+    blocked = {g: len(set(net.node(g).components) & pool) for g in ids}
     parents = {g: sorted(set(net.containers(g)) & pool) for g in ids}
 
-    best: dict = {"score": None, "order": None}
+    best_score: tuple[float, float] | None = None
+    best_ids: list[str] = []
     prefix: list[str] = []
     placed: set[str] = set()
 
+    def place(glyph: str) -> None:
+        placed.add(glyph)
+        prefix.append(glyph)
+        for parent in parents[glyph]:
+            blocked[parent] -= 1
+
+    def unplace(glyph: str) -> None:
+        for parent in parents[glyph]:
+            blocked[parent] += 1
+        prefix.pop()
+        placed.discard(glyph)
+
     def lex_first_completion() -> list[str]:
         # Lexicographically first valid completion: repeatedly take the
-        # smallest available node. Only reached once the score is fixed.
+        # smallest available node.
         extra_blocked = dict(blocked)
         avail = sorted(g for g in ids if g not in placed and extra_blocked[g] == 0)
         tail = []
@@ -286,38 +305,36 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
                     avail.sort()
         return prefix + tail
 
-    def consider(candidate: list[str]) -> None:
-        lo = external_order(table, candidate, Provenance.BRUTE_FORCE_OPTIMAL)
-        cv = curve(net, lo, c0)
-        score = (cv.mean_efficiency, cv.final_efficiency)
-        if best["score"] is None or score > best["score"]:
-            best["score"] = score
-            best["order"] = list(candidate)
+    def beats(points: tuple[tuple[float, float], ...]) -> tuple[float, float] | None:
+        # The candidate's (mean, final) score when it beats the best so far.
+        score = (_step_area(points, c0) / c0, points[-1][1] if points else 0.0)
+        return score if best_score is None or score > best_score else None
 
-    def recurse(cum_cost: float) -> None:
+    def recurse(points: tuple[tuple[float, float], ...]) -> None:
+        nonlocal best_score, best_ids
         if len(prefix) == len(ids):
-            consider(prefix)
-            return
-        if cum_cost > c0:
-            consider(lex_first_completion())
+            score = beats(points)
+            if score is not None:
+                best_score, best_ids = score, list(prefix)
             return
         for glyph in ids:
             if glyph in placed or blocked[glyph] > 0:
                 continue
-            placed.add(glyph)
-            prefix.append(glyph)
-            for parent in parents[glyph]:
-                blocked[parent] -= 1
-            recurse(cum_cost + table[glyph].c)
-            for parent in parents[glyph]:
-                blocked[parent] += 1
-            prefix.pop()
-            placed.discard(glyph)
+            step = _next_corner(points, cost[glyph], freq[glyph], c0)
+            if step is None:
+                score = beats(points)
+                if score is not None:
+                    place(glyph)
+                    best_score, best_ids = score, lex_first_completion()
+                    unplace(glyph)
+                continue
+            corner, merge = step
+            place(glyph)
+            recurse(points[:-1] + (corner,) if merge else points + (corner,))
+            unplace(glyph)
 
-    recurse(0.0)
-    if best["order"] is None:
-        return LearningOrder(items=(), provenance=Provenance.BRUTE_FORCE_OPTIMAL)
-    return LearningOrder(items=_make_items(table, best["order"]),
+    recurse(())
+    return LearningOrder(items=_make_items(table, best_ids),
                          provenance=Provenance.BRUTE_FORCE_OPTIMAL)
 
 

@@ -24,10 +24,9 @@ DEFAULT_TOP_K = 10000
 
 @dataclass(frozen=True)
 class WordNetworkConfig:
-    """Word expansion settings: frequency-rank cutoff and optional target."""
+    """Word expansion settings: the frequency-rank cutoff."""
 
     top_k: int = DEFAULT_TOP_K
-    target: TargetList | None = None
 
     def __post_init__(self):
         if self.top_k < 1:

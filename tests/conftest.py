@@ -4,7 +4,8 @@ The oracles here are deliberately naive re-derivations of the contracts,
 written before the library and kept frozen: a quadratic-time
 transcription of the repair sweep that re-scans the list instead of
 maintaining positions, a permutation-filter enumerator of topological
-orders, and random network/centrality generators with fixed seeds.
+orders, a brute-force search that scores each candidate with `curve`,
+and random network/centrality generators with fixed seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ import pytest
 
 from glyphorder.costmodel import Centrality, CentralityTable, CostParams, centralities
 from glyphorder.ingest import FrequencyTable, parse_decompositions, parse_frequencies
+from glyphorder.metrics import curve
 from glyphorder.network import DecompositionNetwork, GlyphKind, GlyphNode, build_network
+from glyphorder.ordering import (LearningOrder, Provenance, TooLarge, _make_items,
+                                 expand_selection, external_order)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "glyphorder" / "data"
 
@@ -177,3 +181,80 @@ def enumerate_topological(net: DecompositionNetwork, pool: set[str]):
             seen.add(glyph)
         if ok:
             yield list(perm)
+
+
+def oracle_brute_force(net: DecompositionNetwork, table: CentralityTable,
+                       select, c0: float, limit: int = 10) -> LearningOrder:
+    """Per-candidate brute force: every candidate becomes an order scored
+    by `curve`, which validates it again.
+
+    Enumerates every topological order of the selection (plus closure
+    members) in lexicographic order and keeps the one with the highest
+    mean efficiency at horizon `c0`, breaking ties by higher final
+    efficiency and then by the enumeration order itself. Once a prefix's
+    cumulative cost exceeds `c0`, items past the first over-budget one
+    are excluded from the curve, so every completion scores the same and
+    the subtree collapses to its lexicographically first completion.
+    """
+    pool = expand_selection(net, select)
+    if len(pool) > limit:
+        raise TooLarge("%d nodes exceed the brute-force limit of %d" % (len(pool), limit))
+    if c0 <= 0:
+        raise ValueError("c0 must be positive")
+
+    ids = sorted(pool)
+    comps_in_pool = {g: set(net.node(g).components) & pool for g in ids}
+    blocked = {g: len(comps_in_pool[g]) for g in ids}
+    parents = {g: sorted(set(net.containers(g)) & pool) for g in ids}
+
+    best: dict = {"score": None, "order": None}
+    prefix: list[str] = []
+    placed: set[str] = set()
+
+    def lex_first_completion() -> list[str]:
+        extra_blocked = dict(blocked)
+        avail = sorted(g for g in ids if g not in placed and extra_blocked[g] == 0)
+        tail = []
+        while avail:
+            glyph = avail.pop(0)
+            tail.append(glyph)
+            for parent in parents[glyph]:
+                extra_blocked[parent] -= 1
+                if extra_blocked[parent] == 0:
+                    avail.append(parent)
+                    avail.sort()
+        return prefix + tail
+
+    def consider(candidate: list[str]) -> None:
+        lo = external_order(table, candidate, Provenance.BRUTE_FORCE_OPTIMAL)
+        cv = curve(net, lo, c0)
+        score = (cv.mean_efficiency, cv.final_efficiency)
+        if best["score"] is None or score > best["score"]:
+            best["score"] = score
+            best["order"] = list(candidate)
+
+    def recurse(cum_cost: float) -> None:
+        if len(prefix) == len(ids):
+            consider(prefix)
+            return
+        if cum_cost > c0:
+            consider(lex_first_completion())
+            return
+        for glyph in ids:
+            if glyph in placed or blocked[glyph] > 0:
+                continue
+            placed.add(glyph)
+            prefix.append(glyph)
+            for parent in parents[glyph]:
+                blocked[parent] -= 1
+            recurse(cum_cost + table[glyph].c)
+            for parent in parents[glyph]:
+                blocked[parent] += 1
+            prefix.pop()
+            placed.discard(glyph)
+
+    recurse(0.0)
+    if best["order"] is None:
+        return LearningOrder(items=(), provenance=Provenance.BRUTE_FORCE_OPTIMAL)
+    return LearningOrder(items=_make_items(table, best["order"]),
+                         provenance=Provenance.BRUTE_FORCE_OPTIMAL)

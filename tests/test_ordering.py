@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glyphorder.costmodel import Centrality, CentralityTable
@@ -14,8 +14,8 @@ from glyphorder.ordering import (Provenance, TooLarge, Violation,
                                  kahn_order, priority_topo_sort, pure_frequency_order,
                                  serialize_order_csv, validate_topological)
 
-from conftest import (enumerate_topological, oracle_sweep, oracle_sweep_from,
-                      random_centralities, random_network)
+from conftest import (enumerate_topological, oracle_brute_force, oracle_sweep,
+                      oracle_sweep_from, random_centralities, random_network)
 
 P = GlyphKind.PRIMITIVE_CHARACTER
 C = GlyphKind.COMPOUND
@@ -342,6 +342,112 @@ def test_brute_force_never_below_the_sweep():
         sweep_cv = curve(net, priority_topo_sort(net, table, pool), c0)
         best_cv = curve(net, brute_force_best_order(net, table, pool, c0=c0), c0)
         assert best_cv.mean_efficiency >= sweep_cv.mean_efficiency - 1e-12
+
+
+def cut_candidates(net, table, pool, c0):
+    """Every hierarchal order of `pool`, cut after its first item over
+    budget at c0. A cut order scores the same as each of its
+    completions, so these are all the scores a search must compare."""
+    ids = sorted(pool)
+    comps = {g: set(net.node(g).components) & pool for g in ids}
+    out = []
+    prefix: list[str] = []
+
+    def walk(cum_cost):
+        if len(prefix) == len(ids) or cum_cost > c0:
+            out.append(list(prefix))
+            return
+        for glyph in ids:
+            if glyph not in prefix and comps[glyph] <= set(prefix):
+                prefix.append(glyph)
+                walk(cum_cost + table[glyph].c)
+                prefix.pop()
+
+    walk(0.0)
+    return out
+
+
+@st.composite
+def brute_force_instances(draw, max_candidates=300):
+    """Sparse 7-10-node networks with zero-cost items, zero-frequency
+    components and repeated (cost, freq) pairs, at a horizon that is
+    either a float prefix cost of a hierarchal order or a share of the
+    total cost, lowered until the search space is small."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    net = random_network(rng, max_nodes=10, sparse=True)
+    while len(net) < 7:
+        net = random_network(rng, max_nodes=10, sparse=True)
+    pool = set(net.ids())
+    zero_cost_share = draw(st.sampled_from([0.0, 0.25]))
+    raw = {}
+    costs = {}
+    for glyph in net.ids():
+        is_component = bool(net.containers(glyph))
+        raw[glyph] = 0 if is_component and rng.random() < 0.5 else rng.choice([1, 2, 3, 5])
+        costs[glyph] = (0.0 if rng.random() < zero_cost_share
+                        else rng.choice([0.5, 1.1, 1.1, 1.3, 2.0]))
+    total = sum(raw.values()) or 1
+    entries = {}
+    for glyph in net.ids():
+        f, c = raw[glyph] / total, costs[glyph]
+        eta = f / c if c > 0 else (float("inf") if f > 0 else 0.0)
+        entries[glyph] = Centrality(f=f, c=c, eta=eta)
+    table = CentralityTable(entries)
+
+    # Float prefix costs of a random hierarchal order, summed as curve does.
+    order = []
+    while len(order) < len(pool):
+        ready = sorted(g for g in pool if g not in order
+                       and set(net.node(g).components) <= set(order))
+        order.append(rng.choice(ready))
+    prefix_costs = []
+    cum = 0.0
+    for glyph in order:
+        cum += table[glyph].c
+        if cum > 0:
+            prefix_costs.append(cum)
+    assume(prefix_costs)
+    if draw(st.booleans()):
+        horizons = prefix_costs[:draw(st.integers(1, len(prefix_costs)))][::-1]
+    else:
+        horizons = [draw(st.floats(0.2, 1.2)) * cum] + prefix_costs[::-1]
+    for c0 in horizons:
+        cands = cut_candidates(net, table, pool, c0)
+        if len(cands) <= max_candidates:
+            return net, table, pool, c0, cands
+    assume(False)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(instance=brute_force_instances())
+def test_brute_force_matches_per_candidate_oracle(instance):
+    net, table, pool, c0, cands = instance
+    got = brute_force_best_order(net, table, pool, c0=c0)
+    assert got.ids() == oracle_brute_force(net, table, pool, c0=c0).ids()
+    won = curve(net, got, c0)
+    won_score = (won.mean_efficiency, won.final_efficiency)
+    for cand in cands:
+        cv = curve(net, external_order(table, cand), c0)
+        assert won_score >= (cv.mean_efficiency, cv.final_efficiency)
+
+
+def test_brute_force_breaks_float_ties_as_curve_does():
+    # After B and A, zero-frequency Z fits the horizon and splits the last
+    # segment in two. Exactly, both cuts have area 0.41; the float sums
+    # of `curve` rank the split one higher, so the search must as well.
+    net = build_network([GlyphNode(g, P, (), 1) for g in "ABYZ"])
+    table = CentralityTable({
+        "A": Centrality(f=0.1, c=0.7, eta=0.1 / 0.7),
+        "B": Centrality(f=0.2, c=0.5, eta=0.4),
+        "Y": Centrality(f=0.1, c=1.1, eta=0.1 / 1.1),
+        "Z": Centrality(f=0.0, c=0.5, eta=0.0),
+    })
+    split = curve(net, external_order(table, ["B", "A", "Z", "Y"]), 2.1)
+    whole = curve(net, external_order(table, ["B", "A", "Y", "Z"]), 2.1)
+    assert split.mean_efficiency > whole.mean_efficiency
+    assert split.final_efficiency == whole.final_efficiency
+    got = brute_force_best_order(net, table, set("ABYZ"), c0=2.1).ids()
+    assert got == oracle_brute_force(net, table, set("ABYZ"), c0=2.1).ids() == ["B", "A", "Z", "Y"]
 
 
 def test_order_csv_format(mini_net, mini_table):
