@@ -42,6 +42,8 @@ class CostParams:
     suppression: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.variant_cost <= 0:
@@ -110,6 +112,13 @@ class CentralityTable:
         return sorted(pool, key=self.sort_key)
 
 
+def benefit_ratio(f: float, c: float) -> float:
+    """eta = f / c, with the zero-cost convention: inf when f > 0, else 0."""
+    if c == 0.0:
+        return math.inf if f > 0.0 else 0.0
+    return f / c
+
+
 def centralities(net: DecompositionNetwork, freq: FrequencyTable,
                  params: CostParams) -> CentralityTable:
     """Compute f, c, and eta for every node of the network."""
@@ -117,9 +126,5 @@ def centralities(net: DecompositionNetwork, freq: FrequencyTable,
     for node in net.nodes():
         f = freq.get(node.id)
         c = cost(node, params)
-        if c == 0.0:
-            eta = math.inf if f > 0.0 else 0.0
-        else:
-            eta = f / c
-        entries[node.id] = Centrality(f=f, c=c, eta=eta)
+        entries[node.id] = Centrality(f=f, c=c, eta=benefit_ratio(f, c))
     return CentralityTable(entries=entries)

@@ -7,7 +7,7 @@ every format. Formats:
                   kind codes: p (primitive character), pc (primitive
                   component), c (compound), v (variant)
   frequencies     token<TAB>count            (count a positive integer)
-  orders          one glyph id per line
+  orders          one glyph id per line, or the order CSV (rank,glyph,... header)
   target lists    one word per line
 
 Frequencies are normalized exactly once, here, over the whole table.
@@ -15,6 +15,7 @@ Frequencies are normalized exactly once, here, over the whole table.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .network import GlyphKind, GlyphNode
@@ -33,6 +34,8 @@ class EmptyTable(ParseError):
 
 
 _KIND_CODES = {"p", "pc", "c", "v"}
+_ORDER_CSV_HEADER = "rank,glyph,"
+_CONTENT_LINE = re.compile(r"^[^#\r\n][^\r\n]*", re.MULTILINE)
 
 
 def _lines(text: str | bytes) -> list[tuple[int, str]]:
@@ -87,6 +90,22 @@ class TargetList:
     label: str = ""
 
 
+def _check_new(seen, token: str, lineno: int, what: str) -> None:
+    """Reject a token already in `seen` (the tokens of earlier lines)."""
+    if token in seen:
+        raise DuplicateToken("line %d: duplicate %s %s" % (lineno, what, token))
+
+
+def _items(text: str | bytes, what: str) -> list[str]:
+    """One stripped item per line; duplicates rejected."""
+    items: dict[str, None] = {}
+    for lineno, line in _lines(text):
+        item = line.strip()
+        _check_new(items, item, lineno, what)
+        items[item] = None
+    return list(items)
+
+
 def parse_decompositions(text: str | bytes) -> list[GlyphNode]:
     """Parse decomposition records into nodes, in file order."""
     nodes = []
@@ -117,8 +136,7 @@ def parse_frequencies(text: str | bytes) -> FrequencyTable:
         if len(fields) != 2:
             raise ParseError("line %d: expected 2 tab-separated fields, got %d" % (lineno, len(fields)))
         token, count_field = fields
-        if token in counts:
-            raise DuplicateToken("line %d: duplicate token %s" % (lineno, token))
+        _check_new(counts, token, lineno, "token")
         try:
             count = int(count_field)
         except ValueError:
@@ -126,54 +144,41 @@ def parse_frequencies(text: str | bytes) -> FrequencyTable:
         if count <= 0:
             raise ParseError("line %d: count must be positive" % lineno)
         counts[token] = count
-    if not counts:
-        raise EmptyTable("no frequency records")
     return FrequencyTable.from_counts(counts)
 
 
 def parse_order(text: str | bytes) -> list[str]:
     """Parse a fixed order, one glyph id per line; duplicates rejected."""
-    seen = set()
-    order = []
-    for lineno, line in _lines(text):
-        glyph = line.strip()
-        if glyph in seen:
-            raise DuplicateToken("line %d: duplicate glyph %s" % (lineno, glyph))
-        seen.add(glyph)
-        order.append(glyph)
-    return order
+    return _items(text, "glyph")
 
 
 def parse_order_csv(text: str | bytes) -> list[str]:
     """Extract the glyph sequence from an order CSV written by this package."""
     rows = _lines(text)
-    if not rows or not rows[0][1].startswith("rank,glyph,"):
+    if not rows or not rows[0][1].startswith(_ORDER_CSV_HEADER):
         raise ParseError("not an order CSV (missing rank,glyph header)")
-    seen = set()
-    order = []
+    glyphs: dict[str, None] = {}
     for lineno, line in rows[1:]:
         fields = line.split(",")
         if len(fields) < 2:
             raise ParseError("line %d: too few columns" % lineno)
-        glyph = fields[1]
-        if glyph in seen:
-            raise DuplicateToken("line %d: duplicate glyph %s" % (lineno, glyph))
-        seen.add(glyph)
-        order.append(glyph)
-    return order
+        _check_new(glyphs, fields[1], lineno, "glyph")
+        glyphs[fields[1]] = None
+    return list(glyphs)
+
+
+def parse_order_file(text: str) -> list[str]:
+    """Parse either order format: an order CSV when the first content
+    line is its header, else one glyph id per line."""
+    first = _CONTENT_LINE.search(text)
+    if first and first.group().startswith(_ORDER_CSV_HEADER):
+        return parse_order_csv(text)
+    return parse_order(text)
 
 
 def parse_target_list(text: str | bytes, label: str = "") -> TargetList:
     """Parse a target word list, one word per line; duplicates rejected."""
-    seen = set()
-    items = []
-    for lineno, line in _lines(text):
-        word = line.strip()
-        if word in seen:
-            raise DuplicateToken("line %d: duplicate item %s" % (lineno, word))
-        seen.add(word)
-        items.append(word)
-    return TargetList(items=tuple(items), label=label)
+    return TargetList(items=tuple(_items(text, "item")), label=label)
 
 
 def segment_coverage(words: TargetList, freq: FrequencyTable) -> tuple[TargetList, list[str]]:

@@ -214,14 +214,13 @@ class ClusterRow:
 
 @dataclass(frozen=True)
 class ClusterStats:
-    """Running clustering averages; rows below min_reported_n are noisy."""
+    """Running clustering averages; short prefixes are noisy."""
 
     rows: tuple[ClusterRow, ...]
-    min_reported_n: int = 250
 
 
 def cluster_stats(net: DecompositionNetwork, order: LearningOrder | Sequence[str],
-                  max_n: int | None = None, min_reported_n: int = 250) -> ClusterStats:
+                  max_n: int | None = None) -> ClusterStats:
     """Distance-to-component diagnostics over prefixes of the order.
 
     For the item at position i (1-based): d1 is the distance back to the
@@ -235,13 +234,12 @@ def cluster_stats(net: DecompositionNetwork, order: LearningOrder | Sequence[str
     limit = len(ids) if max_n is None else min(max_n, len(ids))
     pos = {g: k for k, g in enumerate(ids)}
 
-    # Positions of the order's items per direct component they contain.
+    # Positions of the order's items per direct component they contain,
+    # ascending because they are appended in order.
     member_pos: dict[str, list[int]] = {}
     for k, glyph in enumerate(ids):
         for comp in set(net.node(glyph).components):
             member_pos.setdefault(comp, []).append(k)
-    for vals in member_pos.values():
-        vals.sort()
 
     d1 = np.full(len(ids), np.nan)
     d2 = np.full(len(ids), np.nan)
@@ -272,7 +270,7 @@ def cluster_stats(net: DecompositionNetwork, order: LearningOrder | Sequence[str
         avg1 = float(sum1[n - 1] / have1[n - 1]) if have1[n - 1] else None
         avg2 = float(sum2[n - 1] / have2[n - 1]) if have2[n - 1] else None
         rows.append(ClusterRow(n=n, avg_d1=avg1, avg_d2=avg2))
-    return ClusterStats(rows=tuple(rows), min_reported_n=min_reported_n)
+    return ClusterStats(rows=tuple(rows))
 
 
 def _nearest(positions: Sequence[int], k: int) -> list[int]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .costmodel import CentralityTable
+from .costmodel import CentralityTable, benefit_ratio
 from .network import DecompositionNetwork, UnknownId
 
 
@@ -33,6 +33,7 @@ class Provenance(Enum):
     OPTIMIZED = "optimized"
     PURE_FREQUENCY = "pure-frequency"
     EXTERNAL = "external"
+    KAHN = "kahn"
     BRUTE_FORCE_OPTIMAL = "brute-force-optimal"
 
 
@@ -80,6 +81,14 @@ def expand_selection(net: DecompositionNetwork, select: Iterable[str]) -> set[st
         pool.add(glyph)
         pool.update(net.closure(glyph))
     return pool
+
+
+def target_pool(net: DecompositionNetwork, items: Sequence[str]) -> tuple[set[str], list[str]]:
+    """Target selection: the items present in the network plus their
+    closures, and the items missing from it, in input order."""
+    present = [item for item in items if item in net]
+    missing = [item for item in items if item not in net]
+    return expand_selection(net, present), missing
 
 
 def _make_items(table: CentralityTable, ids: Sequence[str]) -> tuple[OrderItem, ...]:
@@ -202,8 +211,7 @@ def kahn_order(net: DecompositionNetwork, table: CentralityTable,
                 missing[parent] -= 1
                 if missing[parent] == 0:
                     queue.append(parent)
-    return LearningOrder(items=_make_items(table, out),
-                         provenance=Provenance.EXTERNAL)
+    return LearningOrder(items=_make_items(table, out), provenance=Provenance.KAHN)
 
 
 def validate_topological(net: DecompositionNetwork,
@@ -350,11 +358,7 @@ def serialize_order_csv(net: DecompositionNetwork, order: LearningOrder) -> str:
     for rank, item in enumerate(order, start=1):
         cum_cost += item.cost
         cum_freq += item.freq
-        if item.cost > 0:
-            eta = item.freq / item.cost
-        else:
-            eta = float("inf") if item.freq > 0 else 0.0
         lines.append("%d,%s,%s,%.6f,%.9f,%.9g,%.6f,%.9f" % (
             rank, item.glyph, net.node(item.glyph).kind.code,
-            item.cost, item.freq, eta, cum_cost, cum_freq))
+            item.cost, item.freq, benefit_ratio(item.freq, item.cost), cum_cost, cum_freq))
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from .costmodel import CostParams, centralities
 from .ingest import FrequencyTable, TargetList
 from .metrics import CostMode, LearningCurve, curve
 from .network import DecompositionNetwork, GlyphKind, GlyphNode, build_network
-from .ordering import LearningOrder, expand_selection, priority_topo_sort
+from .ordering import LearningOrder, priority_topo_sort, target_pool
 
 DEFAULT_TOP_K = 10000
 
@@ -71,9 +71,7 @@ def target_subset_curve(net: DecompositionNetwork, freq: FrequencyTable,
     frequencies stay normalized against the full corpus, so a narrow
     target plateaus well below 1. Returns (curve, order, missing items).
     """
-    missing = [item for item in target.items if item not in net]
-    present = [item for item in target.items if item in net]
-    table = centralities(net, freq, params)
-    order = priority_topo_sort(net, table, expand_selection(net, present))
+    pool, missing = target_pool(net, target.items)
+    order = priority_topo_sort(net, centralities(net, freq, params), pool)
     cv = curve(net, order, c0, CostMode.HIERARCHAL)
     return cv, order, missing

@@ -72,6 +72,31 @@ def test_custom_horizons_and_rejection(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_gamma_exits_one(tmp_path, capsys, value):
+    assert run("order", "--out", tmp_path, "--gamma", value) == 1
+    assert "gamma must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_c0_rejected_before_reading_inputs(tmp_path, capsys, value):
+    # The horizon fails first, so the missing input is never opened.
+    assert run("order", "--out", tmp_path, "--c0", value,
+               "--decompositions", tmp_path / "nope.tsv") == 1
+    err = capsys.readouterr().err
+    assert "--c0 horizons must be finite" in err
+    assert "nope.tsv" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_error_exits_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("order", "--out", tmp_path, "--min-reported-n", 250)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_known_primitives_dominate_default(tmp_path):
     base, known = tmp_path / "base", tmp_path / "known"
     assert run("order", "--out", base, "--c0", 10) == 0
@@ -180,6 +205,28 @@ def test_compare_skips_bad_files_but_continues(tmp_path, capsys):
     assert (out / "rote_order_charge_curve.csv").exists()
 
 
+def test_compare_skips_duplicate_labels(tmp_path, capsys):
+    rote = (DATA_DIR / "rote_order.txt").read_text(encoding="utf-8")
+    for sub, text in (("a", rote), ("b", "口\n")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "a" / "optimized.txt").write_text("口\n", encoding="utf-8")
+    first, later, optimized = (tmp_path / "a" / "x.txt", tmp_path / "b" / "x.txt",
+                               tmp_path / "a" / "optimized.txt")
+    out, solo = tmp_path / "cmp", tmp_path / "solo"
+    assert run("compare", first, later, optimized, "--include-optimized",
+               "--c0", 12, "--out", out) == 0
+    err = capsys.readouterr().err
+    assert "error: duplicate label x: %s skipped" % later in err
+    assert "error: duplicate label optimized: --include-optimized skipped" in err
+    # The later order and the built-in optimized order leave no trace.
+    assert run("compare", first, optimized, "--c0", 12, "--out", solo) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in solo.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (solo / name).read_bytes()
+
+
 def test_compare_with_nothing_usable_fails(tmp_path, capsys):
     assert run("compare", tmp_path / "absent.txt", "--out", tmp_path) == 1
     assert "no usable orders" in capsys.readouterr().err
@@ -213,6 +260,22 @@ def test_words_pipeline(tmp_path):
     assert "知道" in ids
     assert ids.index("知") < ids.index("知道")
     assert "什么" not in ids
+
+
+def test_order_words_mode_matches_words_command(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("知道\n好\n不存在\n", encoding="utf-8")
+    flags = ("--c0", 15, "--c0", 4, "--top-k", 40, "--target", target)
+    order, words = tmp_path / "order", tmp_path / "words"
+    assert run("order", "--mode", "words", "--out", order, *flags) == 0
+    assert run("words", "--out", words, *flags) == 0
+    for name in ("order.csv", "order.txt", "curve_c4.csv", "curve_c4.json",
+                 "curve_c15.csv", "curve_c15.json"):
+        assert (order / name).read_bytes() == (words / ("words_" + name)).read_bytes()
+    summary = json.loads((order / "summary.json").read_text(encoding="utf-8"))
+    report = (words / "dropped_words.txt").read_text(encoding="utf-8")
+    assert summary["dropped_words"]
+    assert summary["dropped_words"] == [line.split("\t") for line in report.splitlines()]
 
 
 def test_words_top_k_restricts_expansion(tmp_path):

@@ -65,6 +65,14 @@ def test_param_validation():
         CostParams(suppression={"A": 1.5})
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_non_finite_gamma_rejected(gamma):
+    # A NaN gamma makes every primitive's eta NaN, and sorting NaN keys
+    # leaves the pool in set (hash) order, so runs were not reproducible.
+    with pytest.raises(ValueError, match="finite"):
+        CostParams(gamma=gamma)
+
+
 def test_centrality_arithmetic():
     net = build_network([GlyphNode("A", P, (), 3)])
     freq = FrequencyTable.from_counts({"A": 2, "B": 98})

@@ -4,7 +4,8 @@ import pytest
 
 from glyphorder.ingest import (DuplicateToken, EmptyTable, ParseError, TargetList,
                                parse_decompositions, parse_frequencies, parse_order,
-                               parse_order_csv, parse_target_list, segment_coverage,
+                               parse_order_csv, parse_order_file, parse_target_list,
+                               segment_coverage,
                                serialize_decompositions, serialize_frequencies,
                                serialize_order)
 from glyphorder.network import GlyphKind, build_network
@@ -130,6 +131,17 @@ def test_order_csv_reader_requires_header():
         parse_order_csv("白\n勺\n")
     text = "rank,glyph,kind,cost,freq,eta,cum_cost,cum_freq\n1,白,p,1.5,0.1,0.07,1.5,0.1\n"
     assert parse_order_csv(text) == ["白"]
+
+
+def test_order_file_format_follows_first_content_line():
+    csv = "rank,glyph,kind,cost,freq,eta,cum_cost,cum_freq\r\n1,白,p,1.5,0.1,0.07,1.5,0.1\r\n"
+    # Comments and blank lines, CRLF ones included, come before the header.
+    assert parse_order_file("# note\r\n\r\n\n" + csv) == ["白"]
+    assert parse_order_file("#rank,glyph,\n白\n勺\n") == ["白", "勺"]
+    assert parse_order_file(" rank,glyph,\n") == ["rank,glyph,"]
+    assert parse_order_file("") == []
+    with pytest.raises(DuplicateToken, match="line 3: duplicate glyph 白"):
+        parse_order_file(csv + "2,白,p,1.5,0.1,0.07,3.0,0.2\n")
 
 
 def test_bytes_input_accepted():

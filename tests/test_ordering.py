@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glyphorder.costmodel import Centrality, CentralityTable
+from glyphorder.costmodel import Centrality, CentralityTable, CostParams, centralities
 from glyphorder.metrics import CostMode, curve
 from glyphorder.network import GlyphKind, GlyphNode, UnknownId, build_network
 from glyphorder.ordering import (Provenance, TooLarge, Violation,
@@ -245,6 +245,11 @@ def test_kahn_baseline_is_valid_and_deterministic():
         out = kahn_order(net, table, set(net.ids()))
         assert validate_topological(net, out) == []
         assert out.ids() == kahn_order(net, table, set(net.ids())).ids()
+
+
+def test_kahn_order_is_labelled_kahn(mini_net, mini_freq):
+    table = centralities(mini_net, mini_freq, CostParams())
+    assert kahn_order(mini_net, table, {"的"}).provenance is Provenance.KAHN
 
 
 def test_validate_topological_examples(mini_net):
