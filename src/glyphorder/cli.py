@@ -61,13 +61,20 @@ def _read_input(path: str | None, bundled: str = "") -> str:
 
 
 def _horizons(c0: list[float] | None) -> tuple[float, ...]:
-    """The --c0 horizons, sorted; the defaults when none are given."""
+    """The --c0 horizons, sorted; the defaults when none are given.
+    Horizons name their files and summary keys by their "%g" form, so
+    two that print alike are rejected."""
     horizons = c0 or DEFAULT_HORIZONS
     if any(h <= 0 for h in horizons):
         raise ValueError("all --c0 horizons must be positive")
     if not all(math.isfinite(h) for h in horizons):
         raise ValueError("all --c0 horizons must be finite")
-    return tuple(sorted(horizons))
+    horizons = tuple(sorted(horizons))
+    # Rounding to "%g" is monotone, so horizons that print alike are adjacent.
+    for low, high in zip(horizons, horizons[1:]):
+        if "%g" % low == "%g" % high:
+            raise ValueError("--c0 horizons %r and %r share the name c%g" % (low, high, low))
+    return horizons
 
 
 def _load_pipeline(args):

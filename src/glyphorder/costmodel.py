@@ -46,6 +46,8 @@ class CostParams:
             raise ValueError("gamma must be finite")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
+        if not math.isfinite(self.variant_cost):
+            raise ValueError("variant_cost must be finite")
         if self.variant_cost <= 0:
             raise ValueError("variant_cost must be positive")
         for glyph, factor in self.suppression.items():

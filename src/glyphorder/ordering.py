@@ -124,6 +124,65 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
     in turn. Items that are never repositioned keep their relative
     ranking, and an already-hierarchal list passes through unchanged.
 
+    Items of eta 0 and positive cost (zero-frequency components; *lazy*
+    here) are placed directly instead of swept, with the same result:
+
+    - A lazy member's walk stops at once, so the lazy items a glyph pulls
+      form one block directly left of it. The cursor drains that block
+      before it reaches any other item, and inside it lazy items only
+      pull each other.
+    - A lazy item never stops the walk of a positive eta, so the other
+      items move exactly as in a sweep of them alone (`_repair`).
+    - Each lazy item ends in the block of its last puller, its *owner*:
+      its leftmost non-lazy container, direct or not, in that sweep's
+      result. A block ends in depth-first postorder from its owner:
+      components in stored order, each node at its first visit. A path
+      from an owner to an item it owns passes only through items it
+      owns, so the walk descends into those alone, and each lazy item is
+      reached once.
+    - Lazy items with no non-lazy container at all stay at the end, in the
+      order a sweep of them alone gives.
+
+    This needs the lazy items to be the ranking's tail and every other
+    eta to be positive. A zero-cost item of zero frequency ranks first
+    with eta 0 and breaks the block argument: in a pool that holds one,
+    nothing is lazy and the whole ranking is swept.
+    """
+    pool = expand_selection(net, select)
+    ranked = table.ranked(pool)
+    eta = {glyph: table.eta(glyph) for glyph in ranked}
+    cut = len(ranked)
+    while cut and eta[ranked[cut - 1]] == 0:
+        cut -= 1
+    if not all(eta[glyph] > 0 for glyph in ranked[:cut]):
+        cut = len(ranked)
+    lazy = set(ranked[cut:])
+
+    order: list[str] = []
+    for owner in _repair(net, ranked[:cut], eta):
+        # Postorder from the owner through the lazy items no owner to
+        # its left has claimed, the owner itself last.
+        stack = [(owner, iter(net.node(owner).components))]
+        while stack:
+            glyph, components = stack[-1]
+            for comp in components:
+                if comp in lazy:
+                    lazy.remove(comp)
+                    stack.append((comp, iter(net.node(comp).components)))
+                    break
+            else:
+                stack.pop()
+                order.append(glyph)
+    order += _repair(net, [glyph for glyph in ranked[cut:] if glyph in lazy], eta)
+    return LearningOrder(items=_make_items(table, order),
+                         provenance=Provenance.OPTIMIZED)
+
+
+def _repair(net: DecompositionNetwork, ranked: list[str],
+            eta: dict[str, float]) -> list[str]:
+    """The repair sweep of `priority_topo_sort` over `ranked` alone;
+    closure members outside it are left where they are.
+
     The list is doubly linked by glyph id and keeps no positions. Every
     move lands left of the cursor and the cursor only walks left, so the
     items right of the cursor are exactly those it has passed and that
@@ -134,12 +193,9 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
     past: the walk is at most one closure wide. Zero-cost items of zero
     frequency rank first with eta 0, out of that order, and can lengthen
     it. Each cursor visit scans one closure and a moved member is visited
-    again, so the sweep makes pool + moves visits, each costing one
-    closure scan plus one walk per move.
+    again, so the sweep makes len(ranked) + moves visits, each costing
+    one closure scan plus one walk per move.
     """
-    pool = expand_selection(net, select)
-    ranked = table.ranked(pool)
-    eta = {glyph: table.eta(glyph) for glyph in ranked}
     # None is the sentinel joining both ends of a circular list.
     ring = [None, *ranked]
     prev = dict(zip(ring, ring[-1:] + ring[:-1]))
@@ -170,8 +226,7 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
     while glyph is not None:
         order.append(glyph)
         glyph = nxt[glyph]
-    return LearningOrder(items=_make_items(table, order),
-                         provenance=Provenance.OPTIMIZED)
+    return order
 
 
 def pure_frequency_order(table: CentralityTable, select: Iterable[str]) -> LearningOrder:

@@ -90,6 +90,17 @@ def test_non_finite_c0_rejected_before_reading_inputs(tmp_path, capsys, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("second", ["12", "12.0000001"])
+def test_horizons_that_print_alike_rejected_before_reading_inputs(tmp_path, capsys, second):
+    # Both would write curve_c12.* and one summary key "12".
+    assert run("order", "--out", tmp_path, "--c0", 12, "--c0", second,
+               "--decompositions", tmp_path / "nope.tsv") == 1
+    err = capsys.readouterr().err
+    assert "share the name c12" in err
+    assert "nope.tsv" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exits_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run("order", "--out", tmp_path, "--min-reported-n", 250)

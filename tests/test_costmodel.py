@@ -73,6 +73,14 @@ def test_non_finite_gamma_rejected(gamma):
         CostParams(gamma=gamma)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_variant_cost_rejected(value):
+    # NaN passes the positivity check and makes every variant's eta NaN,
+    # which sorts by set order; inf makes it 0.
+    with pytest.raises(ValueError, match="finite"):
+        CostParams(variant_cost=value)
+
+
 def test_centrality_arithmetic():
     net = build_network([GlyphNode("A", P, (), 3)])
     freq = FrequencyTable.from_counts({"A": 2, "B": 98})

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glyphorder.costmodel import Centrality, CentralityTable, CostParams, centralities
+from glyphorder.costmodel import (Centrality, CentralityTable, CostParams, benefit_ratio,
+                                  centralities)
 from glyphorder.metrics import CostMode, curve
 from glyphorder.network import GlyphKind, GlyphNode, UnknownId, build_network
 from glyphorder.ordering import (Provenance, TooLarge, Violation,
@@ -15,7 +16,8 @@ from glyphorder.ordering import (Provenance, TooLarge, Violation,
                                  serialize_order_csv, validate_topological)
 
 from conftest import (enumerate_topological, oracle_brute_force, oracle_sweep,
-                      oracle_sweep_from, random_centralities, random_network)
+                      oracle_sweep_from, random_centralities, random_network,
+                      table_from_counts)
 
 P = GlyphKind.PRIMITIVE_CHARACTER
 C = GlyphKind.COMPOUND
@@ -121,6 +123,68 @@ def test_wide_closure_walk_matches_oracle():
     got = priority_topo_sort(net, table, {"W", "V"}).ids()
     assert got == expected == ["S"] + zs + ["W", "V"]
     assert validate_topological(net, got) == []
+
+
+def sparse_centralities(rng, net, zero_freq_share, zero_cost):
+    """Centralities by the library's eta convention from small integer
+    counts and a few costs, so etas tie often. `zero_freq_share` of the
+    glyphs never occur; `zero_cost` is "none", "frequent" (only glyphs
+    that occur may cost 0, so every eta-0 glyph has a positive cost) or
+    "any" (zero-cost glyphs of zero frequency too)."""
+    counts = {g: 0 if rng.random() < zero_freq_share else rng.randint(1, 4) for g in net.ids()}
+    total = sum(counts.values()) or 1
+    entries = {}
+    for glyph, count in counts.items():
+        free = zero_cost == "any" or (zero_cost == "frequent" and count)
+        c = 0.0 if free and rng.random() < 0.15 else rng.choice([0.5, 1.0, 2.0])
+        f = count / total
+        entries[glyph] = Centrality(f=f, c=c, eta=benefit_ratio(f, c))
+    return CentralityTable(entries)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), zero_freq_share=st.sampled_from([0.2, 0.5, 0.8]),
+       zero_cost=st.sampled_from(["none", "frequent", "any"]))
+def test_zero_frequency_glyphs_match_oracle(seed, zero_freq_share, zero_cost):
+    # Zero-frequency glyphs of positive cost are placed without being
+    # swept; zero-cost glyphs of zero frequency turn that off.
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=rng.choice([12, 40, 80]), sparse=rng.random() < 0.3)
+    table = sparse_centralities(rng, net, zero_freq_share, zero_cost)
+    ids = list(net.ids())
+    select = set(rng.sample(ids, rng.randint(1, len(ids))))
+    expected, _ = oracle_sweep(net, table, select)
+    assert priority_topo_sort(net, table, select).ids() == expected
+
+
+def test_zero_frequency_block_is_closure_postorder():
+    # Every component has eta 0, so all of them wait in one block in
+    # front of W: each node after its own components, at its first visit.
+    net = build_network([
+        GlyphNode("x", P, (), 1),
+        GlyphNode("y", P, (), 1),
+        GlyphNode("z", P, (), 1),
+        GlyphNode("A", C, ("x", "y"), 2),
+        GlyphNode("B", C, ("x", "z"), 2),
+        GlyphNode("W", C, ("A", "B"), 4),
+    ])
+    table = table_from_counts(net, {"W": 1})
+    expected, _ = oracle_sweep(net, table, {"W"})
+    assert priority_topo_sort(net, table, {"W"}).ids() == expected == ["x", "y", "A", "z",
+                                                                       "B", "W"]
+
+
+def test_deep_zero_frequency_chain():
+    # 1,500 nested variants that never occur, under one frequent compound:
+    # deeper than Python's recursion limit.
+    chain = [GlyphNode("v0", P, (), 1)]
+    chain += [GlyphNode("v%d" % k, GlyphKind.VARIANT, ("v%d" % (k - 1),), 1)
+              for k in range(1, 1500)]
+    net = build_network(chain + [GlyphNode("p", P, (), 1),
+                                 GlyphNode("W", C, ("v1499", "p"), 2)])
+    table = table_from_counts(net, {"W": 5, "p": 3})
+    out = priority_topo_sort(net, table, {"W"}).ids()
+    assert out == ["p"] + [node.id for node in chain] + ["W"]
 
 
 def test_output_valid_and_permutation_random():
