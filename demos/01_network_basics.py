@@ -32,9 +32,8 @@ print("品 components:", node.components, "strokes:", node.strokes)
 # variant 灬, which descends from 火.
 print("照 closure:", " ".join(net.closure("照")))
 
-# Variants normally expand through to their base glyph; pass
-# expand_variants=False to stop at the variant itself.
-print("照 closure, variants opaque:", " ".join(net.closure("照", expand_variants=False)))
+# A variant's closure is its base glyph, so whoever needs 灬 needs 火.
+print("灬 closure:", " ".join(net.closure("灬")))
 
 # Containment runs the other way: which glyphs use 口 directly, and
 # which reach it through any depth?
@@ -42,9 +41,8 @@ print("direct containers of 口:", " ".join(sorted(net.containers("口"))))
 users = sorted(g for g in net.ids() if "口" in net.closure(g))
 print("all users of 口:", " ".join(users))
 
-# Two glyphs are "sharers" when they have a direct component in common;
-# with use_closure=True the comparison runs over full closures instead.
-print("glyphs sharing a direct component with 知:",
-      " ".join(sorted(net.sharers("知"))))
-print("glyphs sharing any closure member with 知:",
-      " ".join(sorted(net.sharers("知", use_closure=True))))
+# Two glyphs are "sharers" when they have a direct component in common:
+# the containers of 知's components, 知 aside. The clustering metric's
+# d2 is the distance from each item of an order to its nearest sharer.
+sharers = {g for comp in net.node("知").components for g in net.containers(comp)}
+print("glyphs sharing a direct component with 知:", " ".join(sorted(sharers - {"知"})))

@@ -6,9 +6,10 @@ Sequencing whole words and narrow target lists
 
 from importlib import resources
 
-from glyphorder import (CostParams, TargetList, WordNetworkConfig, build_network,
-                        centralities, expand_with_words, parse_decompositions,
-                        parse_frequencies, priority_topo_sort, target_subset_curve)
+from glyphorder import (CostParams, WordNetworkConfig, build_network, centralities, curve,
+                        expand_with_words, parse_decompositions, parse_frequencies,
+                        parse_target_list, priority_topo_sort)
+from glyphorder.ordering import target_pool
 
 
 def bundled(name):
@@ -39,10 +40,14 @@ ids = order.ids()
 print("order around 知道:", " ".join(ids[:ids.index("知道") + 1]))
 
 # A target list scores a narrow goal, an exam list, inside the full
-# language: frequencies stay normalized over the whole corpus, so the
+# language, as `glyphorder order --target` does: the pool is the listed
+# items the network has plus their closures, and the sweep orders just
+# that pool. Frequencies stay normalized over the whole corpus, so the
 # curve plateaus at the target's real-world coverage, not at 1.
-target = TargetList(items=("知道", "明白", "好"), label="lesson one")
-cv, sub_order, missing = target_subset_curve(net, freq, CostParams(), target, c0=30.0)
+target = parse_target_list("知道\n明白\n好\n")
+pool, missing = target_pool(net, target)
+sub_order = priority_topo_sort(net, table, pool)
+cv = curve(net, sub_order, 30.0)
 print("lesson-one order:", " ".join(sub_order.ids()))
 print("missing from the network:", missing or "nothing")
 print("coverage bought: final=%.3f mean=%.3f" % (cv.final_efficiency, cv.mean_efficiency))

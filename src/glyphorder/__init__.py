@@ -8,14 +8,13 @@ command-line interface.
 """
 
 from .costmodel import Centrality, CentralityTable, CostParams, DEFAULT_GAMMA, centralities, cost
-from .ingest import (DuplicateToken, EmptyTable, FrequencyTable, ParseError, TargetList,
+from .ingest import (DuplicateToken, EmptyTable, FrequencyTable, ParseError,
                      parse_decompositions, parse_frequencies, parse_order, parse_order_csv,
-                     parse_target_list, segment_coverage, serialize_decompositions,
-                     serialize_frequencies, serialize_order)
+                     parse_target_list, serialize_order)
 from .metrics import (DEFAULT_HORIZONS, ClusterRow, ClusterStats, CostMode,
                       LearningCurve, MissingCost, NonPositiveHorizon,
                       NotTopological, at_horizon, cluster_stats, curve, curve_summary_json,
-                      serialize_cluster_csv, serialize_curve_csv, table_report)
+                      serialize_cluster_csv, serialize_curve_csv)
 from .network import (CycleDetected, DanglingReference, DecompositionNetwork, DuplicateId,
                       GlyphKind, GlyphNode, InvalidNode, NetworkError, UnknownId,
                       build_network)
@@ -23,26 +22,25 @@ from .ordering import (LearningOrder, OrderItem, Provenance, TooLarge, Violation
                        brute_force_best_order, expand_selection, external_order, kahn_order,
                        priority_topo_sort, pure_frequency_order, serialize_order_csv,
                        validate_topological)
-from .words import DEFAULT_TOP_K, WordNetworkConfig, expand_with_words, target_subset_curve
+from .words import DEFAULT_TOP_K, WordNetworkConfig, expand_with_words
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Centrality", "CentralityTable", "CostParams", "DEFAULT_GAMMA", "centralities", "cost",
-    "DuplicateToken", "EmptyTable", "FrequencyTable", "ParseError", "TargetList",
+    "DuplicateToken", "EmptyTable", "FrequencyTable", "ParseError",
     "parse_decompositions", "parse_frequencies", "parse_order", "parse_order_csv",
-    "parse_target_list", "segment_coverage", "serialize_decompositions",
-    "serialize_frequencies", "serialize_order",
+    "parse_target_list", "serialize_order",
     "DEFAULT_HORIZONS", "ClusterRow", "ClusterStats", "CostMode",
     "LearningCurve", "MissingCost", "NonPositiveHorizon", "NotTopological", "at_horizon",
     "cluster_stats", "curve", "curve_summary_json", "serialize_cluster_csv",
-    "serialize_curve_csv", "table_report",
+    "serialize_curve_csv",
     "CycleDetected", "DanglingReference", "DecompositionNetwork", "DuplicateId",
     "GlyphKind", "GlyphNode", "InvalidNode", "NetworkError", "UnknownId", "build_network",
     "LearningOrder", "OrderItem", "Provenance", "TooLarge", "Violation",
     "brute_force_best_order", "expand_selection", "external_order", "kahn_order",
     "priority_topo_sort", "pure_frequency_order", "serialize_order_csv",
     "validate_topological",
-    "DEFAULT_TOP_K", "WordNetworkConfig", "expand_with_words", "target_subset_curve",
+    "DEFAULT_TOP_K", "WordNetworkConfig", "expand_with_words",
     "__version__",
 ]

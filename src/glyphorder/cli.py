@@ -28,16 +28,16 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .costmodel import CostParams, centralities
+from .costmodel import DEFAULT_GAMMA, CostParams, centralities
 from .ingest import (ParseError, parse_decompositions, parse_frequencies, parse_order,
                      parse_order_file, parse_target_list, serialize_order)
-from .metrics import (DEFAULT_HORIZONS, CostMode, MissingCost, NotTopological, at_horizon,
+from .metrics import (DEFAULT_HORIZONS, CostMode, MissingCost, NotTopological, _summary,
                       cluster_stats, curve, curve_summary_json, serialize_cluster_csv,
                       serialize_curve_csv, truncate)
 from .network import CycleDetected, NetworkError, build_network
 from .ordering import (external_order, priority_topo_sort, pure_frequency_order,
                        serialize_order_csv, target_pool, validate_topological)
-from .words import WordNetworkConfig, expand_with_words
+from .words import DEFAULT_TOP_K, WordNetworkConfig, expand_with_words
 
 SCHEMA_VERSION = 1
 DATA_ENV_VAR = "GLYPHORDER_DATA"
@@ -55,7 +55,9 @@ def _read_input(path: str | None, bundled: str = "") -> str:
     else:
         source = resources.files("glyphorder").joinpath("data/" + bundled)
     try:
-        return source.read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # join the first id or hide an order CSV's header.
+        return source.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise OSError("cannot read %s: %s" % (source, exc)) from exc
 
@@ -104,7 +106,7 @@ def _selection(net, args) -> tuple[set[str], list[str]]:
     """The --target pool (else the whole network) and missing targets."""
     if not args.target:
         return set(net.ids()), []
-    return target_pool(net, parse_target_list(_read_input(args.target)).items)
+    return target_pool(net, parse_target_list(_read_input(args.target)))
 
 
 def _write(path: Path, text: str) -> None:
@@ -113,16 +115,11 @@ def _write(path: Path, text: str) -> None:
     print("wrote %s" % path)
 
 
-def _horizon_results(net, order, horizons, mode=CostMode.HIERARCHAL, cost_lookup=None):
-    """Summary numbers per horizon, computed from one curve at the widest
-    horizon; consumption is a prefix property, so truncation is exact."""
+def _horizon_curves(net, order, horizons, mode=CostMode.HIERARCHAL, cost_lookup=None):
+    """The curve at each horizon, each cut from one curve at the widest;
+    consumption is a prefix property, so truncation is exact."""
     widest = curve(net, order, max(horizons), mode, cost_lookup)
-    results = {}
-    for h in horizons:
-        n, final, mean = at_horizon(widest, h)
-        results["%g" % h] = {"n_learned": n, "lambda_f": round(final, 12),
-                             "lambda_avg": round(mean, 12)}
-    return widest, results
+    return {h: truncate(widest, h) for h in horizons}
 
 
 def cmd_order(args) -> int:
@@ -136,9 +133,8 @@ def cmd_order(args) -> int:
     out = Path(args.out)
     _write(out / (prefix + "order.csv"), serialize_order_csv(net, order))
     _write(out / (prefix + "order.txt"), serialize_order(order.ids()))
-    widest, results = _horizon_results(net, order, args.c0)
-    for h in args.c0:
-        cv = truncate(widest, h)
+    curves = _horizon_curves(net, order, args.c0)
+    for h, cv in curves.items():
         _write(out / ("%scurve_c%g.csv" % (prefix, h)), serialize_curve_csv(cv))
         _write(out / ("%scurve_c%g.json" % (prefix, h)), curve_summary_json(cv))
     summary = {
@@ -149,7 +145,7 @@ def cmd_order(args) -> int:
         "n_items": len(order),
         "coverage": round(sum(item.freq for item in order), 12),
         "horizons": list(args.c0),
-        "results": results,
+        "results": {"%g" % h: _summary(cv) for h, cv in curves.items()},
     }
     if args.mode == "words":
         summary["top_k"] = args.top_k
@@ -207,16 +203,18 @@ def cmd_compare(args) -> int:
         evaluated += 1
         for mode in (CostMode.HIERARCHAL, CostMode.CHARGE_UNLEARNED):
             try:
-                widest, results = _horizon_results(net, order, args.c0, mode, cost_lookup)
+                curves = _horizon_curves(net, order, args.c0, mode, cost_lookup)
             except NotTopological as exc:
                 print("%s: not hierarchal (%d violations); hierarchal metrics skipped"
                       % (label, len(exc.violations)))
                 continue
             tag = "hier" if mode is CostMode.HIERARCHAL else "charge"
-            for h in args.c0:
-                r = results["%g" % h]
+            for h, cv in curves.items():
+                # Rows format the rounded numbers, as summary.json holds them.
+                r = _summary(cv)
                 rows.append("%s,%s,%g,%d,%.3f,%.3f" % (
                     label, mode.value, h, r["n_learned"], r["lambda_f"], r["lambda_avg"]))
+            widest = curves[max(curves)]
             _write(out / ("%s_%s_curve.csv" % (label, tag)), serialize_curve_csv(widest))
             _write(out / ("%s_%s_curve.json" % (label, tag)), curve_summary_json(widest))
         _write(out / ("%s_cluster.csv" % label), serialize_cluster_csv(cluster_stats(net, order)))
@@ -259,10 +257,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--decompositions", help="decomposition network TSV")
     parser.add_argument("--frequencies", help="character frequency TSV")
     parser.add_argument("--word-frequencies", help="word frequency TSV")
-    parser.add_argument("--gamma", type=float, default=0.1, help="per-stroke cost surcharge")
+    parser.add_argument("--gamma", type=float, default=DEFAULT_GAMMA,
+                        help="per-stroke cost surcharge")
     parser.add_argument("--c0", type=float, action="append",
                         help="evaluation horizon, repeatable (default 500 and 1500)")
-    parser.add_argument("--top-k", type=int, default=10000,
+    parser.add_argument("--top-k", type=int, default=DEFAULT_TOP_K,
                         help="word frequency rank cutoff (words mode)")
     parser.add_argument("--known", help="path to already-known glyphs, or 'all-primitives'")
     parser.add_argument("--out", default=".", help="output directory")

@@ -5,12 +5,14 @@ every format. Formats:
 
   decompositions  glyph<TAB>kind<TAB>space-separated components or "-"<TAB>strokes
                   kind codes: p (primitive character), pc (primitive
-                  component), c (compound), v (variant)
+                  component), c (compound), v (variant); a glyph id
+                  holds no whitespace and is not "-"
   frequencies     token<TAB>count            (count a positive integer)
   orders          one glyph id per line, or the order CSV (rank,glyph,... header)
   target lists    one word per line
 
-Frequencies are normalized exactly once, here, over the whole table.
+Counts and stroke counts are written in ASCII digits. Frequencies are
+normalized exactly once, here, over the whole table.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ class EmptyTable(ParseError):
 _KIND_CODES = {"p", "pc", "c", "v"}
 _ORDER_CSV_HEADER = "rank,glyph,"
 _CONTENT_LINE = re.compile(r"^[^#\r\n][^\r\n]*", re.MULTILINE)
+_INTEGER = re.compile(r"-?[0-9]+")
+_SPACE = re.compile(r"\s")
 
 
-def _lines(text: str | bytes) -> list[tuple[int, str]]:
+def _lines(text: str) -> list[tuple[int, str]]:
     """Numbered content lines, comments and blanks dropped."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     out = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -82,21 +84,22 @@ class FrequencyTable:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class TargetList:
-    """An ordered, duplicate-free list of target words or characters."""
-
-    items: tuple[str, ...]
-    label: str = ""
-
-
 def _check_new(seen, token: str, lineno: int, what: str) -> None:
     """Reject a token already in `seen` (the tokens of earlier lines)."""
     if token in seen:
         raise DuplicateToken("line %d: duplicate %s %s" % (lineno, what, token))
 
 
-def _items(text: str | bytes, what: str) -> list[str]:
+def _integer(field: str, lineno: int, what: str) -> int:
+    """An optionally negative run of ASCII digits. `int` alone would also
+    take a leading +, underscores, surrounding spaces and other scripts'
+    digits. The str tests are a fast path for the usual unsigned field."""
+    if field.isdigit() and field.isascii() or _INTEGER.fullmatch(field):
+        return int(field)
+    raise ParseError("line %d: non-integer %s %r" % (lineno, what, field))
+
+
+def _items(text: str, what: str) -> list[str]:
     """One stripped item per line; duplicates rejected."""
     items: dict[str, None] = {}
     for lineno, line in _lines(text):
@@ -106,7 +109,7 @@ def _items(text: str | bytes, what: str) -> list[str]:
     return list(items)
 
 
-def parse_decompositions(text: str | bytes) -> list[GlyphNode]:
+def parse_decompositions(text: str) -> list[GlyphNode]:
     """Parse decomposition records into nodes, in file order."""
     nodes = []
     for lineno, line in _lines(text):
@@ -117,18 +120,20 @@ def parse_decompositions(text: str | bytes) -> list[GlyphNode]:
         if kind_code not in _KIND_CODES:
             raise ParseError("line %d: unknown kind %r" % (lineno, kind_code))
         components = () if comps_field == "-" else tuple(comps_field.split())
-        try:
-            strokes = int(strokes_field)
-        except ValueError:
-            raise ParseError("line %d: non-integer strokes %r" % (lineno, strokes_field)) from None
+        strokes = _integer(strokes_field, lineno, "strokes")
         if strokes < 0:
             raise ParseError("line %d: negative strokes" % lineno)
-        nodes.append(GlyphNode(id=glyph, kind=GlyphKind.from_code(kind_code),
+        # An id must be writable in a components field.
+        if glyph == "-":
+            raise ParseError("line %d: glyph id - is the empty-components marker" % lineno)
+        if _SPACE.search(glyph):
+            raise ParseError("line %d: glyph id %r contains whitespace" % (lineno, glyph))
+        nodes.append(GlyphNode(id=glyph, kind=GlyphKind(kind_code),
                                components=components, strokes=strokes))
     return nodes
 
 
-def parse_frequencies(text: str | bytes) -> FrequencyTable:
+def parse_frequencies(text: str) -> FrequencyTable:
     """Parse `token<TAB>count` lines and normalize to shares of the total."""
     counts: dict[str, int] = {}
     for lineno, line in _lines(text):
@@ -137,22 +142,19 @@ def parse_frequencies(text: str | bytes) -> FrequencyTable:
             raise ParseError("line %d: expected 2 tab-separated fields, got %d" % (lineno, len(fields)))
         token, count_field = fields
         _check_new(counts, token, lineno, "token")
-        try:
-            count = int(count_field)
-        except ValueError:
-            raise ParseError("line %d: non-integer count %r" % (lineno, count_field)) from None
+        count = _integer(count_field, lineno, "count")
         if count <= 0:
             raise ParseError("line %d: count must be positive" % lineno)
         counts[token] = count
     return FrequencyTable.from_counts(counts)
 
 
-def parse_order(text: str | bytes) -> list[str]:
+def parse_order(text: str) -> list[str]:
     """Parse a fixed order, one glyph id per line; duplicates rejected."""
     return _items(text, "glyph")
 
 
-def parse_order_csv(text: str | bytes) -> list[str]:
+def parse_order_csv(text: str) -> list[str]:
     """Extract the glyph sequence from an order CSV written by this package."""
     rows = _lines(text)
     if not rows or not rows[0][1].startswith(_ORDER_CSV_HEADER):
@@ -176,33 +178,9 @@ def parse_order_file(text: str) -> list[str]:
     return parse_order(text)
 
 
-def parse_target_list(text: str | bytes, label: str = "") -> TargetList:
-    """Parse a target word list, one word per line; duplicates rejected."""
-    return TargetList(items=tuple(_items(text, "item")), label=label)
-
-
-def segment_coverage(words: TargetList, freq: FrequencyTable) -> tuple[TargetList, list[str]]:
-    """Split a pre-segmented word list into (present in freq, missing)."""
-    kept = tuple(w for w in words.items if w in freq)
-    missing = [w for w in words.items if w not in freq]
-    return TargetList(items=kept, label=words.label), missing
-
-
-def serialize_decompositions(nodes) -> str:
-    """Canonical decomposition file: input order, single tabs."""
-    lines = []
-    for node in nodes:
-        if node.kind is GlyphKind.WORD:
-            raise ValueError("word nodes do not belong in decomposition files: %s" % node.id)
-        comps = " ".join(node.components) if node.components else "-"
-        lines.append("%s\t%s\t%s\t%d" % (node.id, node.kind.code, comps, node.strokes))
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def serialize_frequencies(table: FrequencyTable) -> str:
-    """Canonical frequency file: raw counts, tokens sorted."""
-    lines = ["%s\t%d" % (token, table.raw[token]) for token in sorted(table.raw)]
-    return "\n".join(lines) + "\n" if lines else ""
+def parse_target_list(text: str) -> list[str]:
+    """Parse a target list, one word per line; duplicates rejected."""
+    return _items(text, "item")
 
 
 def serialize_order(order) -> str:

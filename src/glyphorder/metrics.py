@@ -287,26 +287,6 @@ def _nearest(positions: Sequence[int], k: int) -> list[int]:
     return out
 
 
-def table_report(curves: Sequence[LearningCurve], horizons: Sequence[float] = DEFAULT_HORIZONS,
-                 labels: Sequence[str] | None = None) -> str:
-    """Summary table: one row per curve per horizon.
-
-    Columns: label, c0, n_learned, lambda_f, lambda_avg (efficiencies to
-    3 decimals). Horizons must not exceed each curve's own c0. An empty
-    curve list yields an empty report.
-    """
-    if not curves:
-        return ""
-    if labels is None:
-        labels = ["order-%d" % (k + 1) for k in range(len(curves))]
-    lines = ["label,c0,n_learned,lambda_f,lambda_avg"]
-    for label, cv in zip(labels, curves):
-        for h in horizons:
-            n, final, mean = at_horizon(cv, h)
-            lines.append("%s,%g,%d,%.3f,%.3f" % (label, h, n, final, mean))
-    return "\n".join(lines) + "\n"
-
-
 def serialize_curve_csv(cv: LearningCurve) -> str:
     """Curve CSV: cum_cost,cum_freq corner rows."""
     lines = ["cum_cost,cum_freq"]
@@ -315,15 +295,16 @@ def serialize_curve_csv(cv: LearningCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _summary(cv: LearningCurve) -> dict[str, float]:
+    """The curve's summary numbers as every output reports them:
+    efficiencies rounded to 12 places."""
+    return {"n_learned": cv.n_learned, "lambda_f": round(cv.final_efficiency, 12),
+            "lambda_avg": round(cv.mean_efficiency, 12)}
+
+
 def curve_summary_json(cv: LearningCurve) -> str:
     """JSON sidecar with the curve's summary numbers."""
-    payload = {
-        "c0": cv.c0,
-        "lambda_f": round(cv.final_efficiency, 12),
-        "lambda_avg": round(cv.mean_efficiency, 12),
-        "n_learned": cv.n_learned,
-    }
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return json.dumps({"c0": cv.c0, **_summary(cv)}, sort_keys=True) + "\n"
 
 
 def serialize_cluster_csv(stats: ClusterStats) -> str:

@@ -60,13 +60,6 @@ class GlyphKind(Enum):
     def code(self) -> str:
         return self.value
 
-    @classmethod
-    def from_code(cls, code: str) -> "GlyphKind":
-        try:
-            return cls(code)
-        except ValueError:
-            raise ValueError("unknown glyph kind code: %r" % (code,)) from None
-
     @property
     def is_primitive(self) -> bool:
         return self in (GlyphKind.PRIMITIVE_CHARACTER, GlyphKind.PRIMITIVE_COMPONENT)
@@ -109,7 +102,7 @@ class DecompositionNetwork:
     def __init__(self, nodes: dict[str, GlyphNode], containers: dict[str, tuple[str, ...]]):
         self._nodes = nodes
         self._containers = containers
-        self._closure_cache: dict[tuple[str, bool], tuple[str, ...]] = {}
+        self._closure_cache: dict[str, tuple[str, ...]] = {}
 
     def __contains__(self, glyph: str) -> bool:
         return glyph in self._nodes
@@ -136,25 +129,18 @@ class DecompositionNetwork:
         self.node(glyph)
         return self._containers.get(glyph, ())
 
-    def closure(self, glyph: str, expand_variants: bool = True) -> tuple[str, ...]:
+    def closure(self, glyph: str) -> tuple[str, ...]:
         """Everything reachable from `glyph` through component edges.
 
         Deterministic depth-first preorder over the stored component
         order, each id kept at its first visit, `glyph` itself excluded.
-        With `expand_variants` false, component lists of variant nodes are
-        not descended into (a variant's base form stays out of closures).
         """
-        key = (glyph, expand_variants)
-        cached = self._closure_cache.get(key)
+        cached = self._closure_cache.get(glyph)
         if cached is not None:
             return cached
-        root = self.node(glyph)
         out: list[str] = []
         seen = {glyph}
-        if root.kind is GlyphKind.VARIANT and not expand_variants:
-            stack = []
-        else:
-            stack = [iter(root.components)]
+        stack = [iter(self.node(glyph).components)]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -164,7 +150,7 @@ class DecompositionNetwork:
                 continue
             seen.add(child)
             out.append(child)
-            sub = self._closure_cache.get((child, expand_variants))
+            sub = self._closure_cache.get(child)
             if sub is not None:
                 # A finished closure is a complete preorder of the child's
                 # subtree, so splicing its unseen members preserves the
@@ -174,38 +160,10 @@ class DecompositionNetwork:
                         seen.add(member)
                         out.append(member)
                 continue
-            node = self._nodes[child]
-            if node.kind is GlyphKind.VARIANT and not expand_variants:
-                continue
-            stack.append(iter(node.components))
+            stack.append(iter(self._nodes[child].components))
         result = tuple(out)
-        self._closure_cache[key] = result
+        self._closure_cache[glyph] = result
         return result
-
-    def sharers(self, glyph: str, use_closure: bool = False) -> frozenset[str]:
-        """Other nodes having a component in common with `glyph`.
-
-        Default compares direct components only; `use_closure` compares
-        full closures instead (any shared closure member counts), which is
-        far less discriminating because common primitives are shared by
-        almost everything.
-        """
-        node = self.node(glyph)
-        found: set[str] = set()
-        if not use_closure:
-            for comp in node.components:
-                found.update(self._containers.get(comp, ()))
-        else:
-            for member in self.closure(glyph):
-                stack = [member]
-                while stack:
-                    cur = stack.pop()
-                    for parent in self._containers.get(cur, ()):
-                        if parent not in found:
-                            found.add(parent)
-                            stack.append(parent)
-        found.discard(glyph)
-        return frozenset(found)
 
 
 def build_network(nodes: Iterable[GlyphNode]) -> DecompositionNetwork:

@@ -1,4 +1,4 @@
-"""Word-network expansion and target-subset curves.
+"""Word-network expansion.
 
 Sequencing whole words instead of characters changes two things. The
 network gains a sink node per retained multi-character word, whose
@@ -13,11 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costmodel import CostParams, centralities
-from .ingest import FrequencyTable, TargetList
-from .metrics import CostMode, LearningCurve, curve
+from .ingest import FrequencyTable
 from .network import DecompositionNetwork, GlyphKind, GlyphNode, build_network
-from .ordering import LearningOrder, priority_topo_sort, target_pool
 
 DEFAULT_TOP_K = 10000
 
@@ -61,17 +58,3 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
         nodes.append(GlyphNode(id=token, kind=GlyphKind.WORD, components=chars))
     return build_network(nodes), word_freq, report
 
-
-def target_subset_curve(net: DecompositionNetwork, freq: FrequencyTable,
-                        params: CostParams, target: TargetList, c0: float,
-                        ) -> tuple[LearningCurve, LearningOrder, list[str]]:
-    """Curve for learning just a target list within the wider language.
-
-    The selection is the target's resolvable items plus closures;
-    frequencies stay normalized against the full corpus, so a narrow
-    target plateaus well below 1. Returns (curve, order, missing items).
-    """
-    pool, missing = target_pool(net, target.items)
-    order = priority_topo_sort(net, centralities(net, freq, params), pool)
-    cv = curve(net, order, c0, CostMode.HIERARCHAL)
-    return cv, order, missing

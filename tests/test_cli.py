@@ -155,6 +155,31 @@ def test_missing_input_file_names_the_path(tmp_path, capsys):
     assert "nope.tsv" in capsys.readouterr().err
 
 
+def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch):
+    # A UTF-8 byte-order mark must not join the first id of a table, nor
+    # hide an order CSV's header and turn it into a plain order.
+    results = []
+    for bom in ("", "﻿"):
+        cwd = tmp_path / ("bom" if bom else "plain")
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for name in ("decompositions.tsv", "char_freq.tsv"):
+            text = (DATA_DIR / name).read_text(encoding="utf-8")
+            (cwd / name).write_text(bom + text, encoding="utf-8")
+        code = run("order", "--out", "out", "--decompositions", "decompositions.tsv",
+                   "--frequencies", "char_freq.tsv")
+        files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+        csv = cwd / "order.csv"
+        csv.write_text(bom + (cwd / "out" / "order.csv").read_text(encoding="utf-8"),
+                       encoding="utf-8")
+        validated = run("validate", "order.csv", "--decompositions", "decompositions.tsv",
+                        "--frequencies", "char_freq.tsv")
+        results.append((code, files, validated, capsys.readouterr()))
+    assert results[0][0] == 0 and results[0][2] == 0
+    assert "violations: 0" in results[0][3].out
+    assert results[1] == results[0]
+
+
 def test_cycle_exits_two(tmp_path, capsys):
     bad = tmp_path / "cyclic.tsv"
     bad.write_text("a\tc\tb b\t5\nb\tc\ta a\t5\n", encoding="utf-8")

@@ -8,8 +8,7 @@ import pytest
 from glyphorder.costmodel import Centrality, CentralityTable
 from glyphorder.metrics import (CostMode, MissingCost, NonPositiveHorizon, NotTopological,
                                 at_horizon, cluster_stats, curve, curve_summary_json,
-                                serialize_cluster_csv, serialize_curve_csv, table_report,
-                                truncate)
+                                serialize_cluster_csv, serialize_curve_csv, truncate)
 from glyphorder.network import GlyphKind, GlyphNode, build_network
 from glyphorder.ordering import (external_order, kahn_order, priority_topo_sort,
                                  pure_frequency_order)
@@ -299,18 +298,6 @@ def test_cluster_prefix_restricts_averaging_only():
     assert capped.rows == full.rows[:2]
     # d2 at position 1 (X) looks forward to Y even with max_n=2.
     assert capped.rows[1].avg_d2 == 1.0
-
-
-def test_table_report_format():
-    assert table_report([]) == ""
-    net, table, ids = flat({"a": (1.0, 0.6), "b": (1.0, 0.4)})
-    cv = curve(net, external_order(table, ids), c0=2.0)
-    text = table_report([cv], horizons=(1.0, 2.0))
-    assert text.splitlines() == [
-        "label,c0,n_learned,lambda_f,lambda_avg",
-        "order-1,1,1,0.600,0.000",
-        "order-1,2,2,1.000,0.300",
-    ]
 
 
 def test_curve_serializers():

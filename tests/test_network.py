@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from glyphorder.metrics import cluster_stats
 from glyphorder.network import (CycleDetected, DanglingReference, DuplicateId, GlyphKind,
                                 GlyphNode, InvalidNode, UnknownId, build_network)
 
@@ -34,7 +35,6 @@ def test_single_primitive():
     assert len(net) == 1
     assert net.closure("口") == ()
     assert net.containers("口") == ()
-    assert net.sharers("口") == frozenset()
 
 
 def test_eight_node_network_acyclic():
@@ -51,10 +51,10 @@ def test_closure_is_deterministic_preorder():
 
 def test_closure_variant_flag():
     net = build_network(fig1_nodes())
+    # A variant's closure holds its base form, and so does every closure
+    # that reaches the variant.
     assert "火" in net.closure("照")
-    assert "火" not in net.closure("照", expand_variants=False)
     assert net.closure("灬") == ("火",)
-    assert net.closure("灬", expand_variants=False) == ()
 
 
 def test_closure_diamond_dedupes_on_first_visit():
@@ -124,15 +124,18 @@ def test_word_used_as_component_rejected():
 
 def test_unknown_id_lookups():
     net = build_network([GlyphNode("A", P, (), 1)])
-    for call in (net.node, net.closure, net.sharers, net.containers):
+    for call in (net.node, net.closure, net.containers):
         with pytest.raises(UnknownId):
             call("nope")
 
 
 def test_sharers_fig1_empty():
+    # Sharers (items with a direct component in common) are looked up by
+    # cluster_stats, whose d2 is the distance to the nearest one. No two
+    # of Figure 1's glyphs share a direct component, so d2 is never defined.
     net = build_network(fig1_nodes())
-    assert net.sharers("照") == frozenset()
-    assert net.sharers("口") == frozenset()
+    stats = cluster_stats(net, ["口", "日", "刀", "火", "灬", "召", "昭", "照"])
+    assert [row.avg_d2 for row in stats.rows] == [None] * 8
 
 
 def test_sharers_direct_and_closure():
@@ -144,9 +147,11 @@ def test_sharers_direct_and_closure():
         GlyphNode("F", C, ("A", "C"), 2),
         GlyphNode("G", C, ("E", "C"), 3),
     ])
-    assert net.sharers("E") == {"F"}
-    # Closure sharing is coarser: G contains E, hence reaches A and B.
-    assert net.sharers("E", use_closure=True) == {"F", "G"}
+    # E's only sharer is F (component A). G sits next to E and reaches A
+    # and B through E, but shares no direct component with it, so E's d2
+    # is its distance to F, 2, not 1.
+    stats = cluster_stats(net, ["A", "B", "C", "E", "G", "F"])
+    assert [row.avg_d2 for row in stats.rows[:4]] == [None, None, None, 2.0]
 
 
 def test_multiplicity_kept_in_components_deduped_in_closure():

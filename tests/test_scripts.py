@@ -1,6 +1,7 @@
-"""Whole programs in fresh interpreters: the command line under two hash
-seeds, and every demo script."""
+"""Whole programs in fresh interpreters (the command line under two hash
+seeds, every demo script), and the package names the benchmark reaches."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import glyphorder
 from glyphorder.cli import DATA_ENV_VAR
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,3 +49,28 @@ def test_demo_runs(tmp_path, script):
     done = python([str(script)], tmp_path)
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_names_exist():
+    # perfbench/ wraps the functions in spans.SPANS by module and calls
+    # the package by attribute; a removed or renamed name would break
+    # its traced runs. Read its sources as text, so nothing there runs.
+    reached = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets):
+                for module, names in zip(node.value.keys, node.value.values):
+                    reached.update((module.value, key.value) for key in names.keys)
+            elif isinstance(node, ast.Attribute):
+                owner = node.value
+                if (isinstance(owner, ast.Name) and owner.id in ("go", "glyphorder")
+                        or isinstance(owner, ast.Attribute) and owner.attr == "go"):
+                    reached.add(("", node.attr))
+                elif isinstance(owner, ast.Name) and owner.id == "cli":
+                    reached.add(("cli", node.attr))
+    assert ("metrics", "at_horizon") in reached and ("", "expand_with_words") in reached
+    missing = [(module, name) for module, name in sorted(reached)
+               if not hasattr(getattr(glyphorder, module) if module else glyphorder, name)]
+    assert missing == []

@@ -3,12 +3,11 @@
 import pytest
 
 from glyphorder.costmodel import CostParams, centralities, cost
-from glyphorder.ingest import FrequencyTable, TargetList
+from glyphorder.ingest import FrequencyTable
 from glyphorder.metrics import curve
 from glyphorder.network import GlyphKind
-from glyphorder.ordering import priority_topo_sort, validate_topological
-from glyphorder.words import (DEFAULT_TOP_K, WordNetworkConfig, expand_with_words,
-                              target_subset_curve)
+from glyphorder.ordering import priority_topo_sort, target_pool, validate_topological
+from glyphorder.words import DEFAULT_TOP_K, WordNetworkConfig, expand_with_words
 
 
 def test_word_nodes_added_with_characters_as_components(mini_net, mini_word_freq):
@@ -69,12 +68,17 @@ def test_word_order_is_hierarchal(mini_net, mini_word_freq):
     assert ids.index("道") < ids.index("知道")
 
 
+def target_curve(net, freq, target, c0):
+    """The --target path: pool, sweep, curve. Returns (curve, order, missing)."""
+    pool, missing = target_pool(net, target)
+    order = priority_topo_sort(net, centralities(net, freq, CostParams()), pool)
+    return curve(net, order, c0), order, missing
+
+
 def test_target_subset_curve(mini_net, mini_word_freq):
     net, freq, _ = expand_with_words(mini_net, mini_word_freq, WordNetworkConfig())
-    params = CostParams()
-    target = TargetList(items=("知道", "好", "什么"), label="starter")
-    cv, order, missing = target_subset_curve(net, freq, params, target, c0=100.0)
-    assert missing == ["什么"]
+    cv, order, missing = target_curve(net, freq, ["知道", "什么", "好", "不存在"], c0=100.0)
+    assert missing == ["什么", "不存在"]
     ids = order.ids()
     assert set(ids) >= {"知道", "好", "知", "道", "矢", "口", "女", "子"}
     assert "茶" not in ids
@@ -87,8 +91,7 @@ def test_target_subset_curve(mini_net, mini_word_freq):
 
 def test_empty_target_curve_is_flat(mini_net, mini_word_freq):
     net, freq, _ = expand_with_words(mini_net, mini_word_freq, WordNetworkConfig())
-    target = TargetList(items=("不存在",), label="nothing")
-    cv, order, missing = target_subset_curve(net, freq, CostParams(), target, c0=10.0)
+    cv, order, missing = target_curve(net, freq, ["不存在"], c0=10.0)
     assert missing == ["不存在"]
     assert order.ids() == []
     assert cv.final_efficiency == 0.0
@@ -97,11 +100,9 @@ def test_empty_target_curve_is_flat(mini_net, mini_word_freq):
 
 def test_full_target_matches_unrestricted(mini_net, mini_word_freq):
     net, freq, _ = expand_with_words(mini_net, mini_word_freq, WordNetworkConfig())
-    params = CostParams()
-    target = TargetList(items=tuple(sorted(net.ids())), label="everything")
-    cv, order, missing = target_subset_curve(net, freq, params, target, c0=200.0)
+    cv, order, missing = target_curve(net, freq, sorted(net.ids()), c0=200.0)
     assert missing == []
-    table = centralities(net, freq, params)
+    table = centralities(net, freq, CostParams())
     direct = priority_topo_sort(net, table, set(net.ids()))
     assert order.ids() == direct.ids()
 
