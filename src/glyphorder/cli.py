@@ -55,9 +55,7 @@ def _read_input(path: str | None, bundled: str = "") -> str:
     else:
         source = resources.files("glyphorder").joinpath("data/" + bundled)
     try:
-        # utf-8-sig drops a leading byte-order mark, which would otherwise
-        # join the first id or hide an order CSV's header.
-        return source.read_text(encoding="utf-8-sig")
+        return source.read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError("cannot read %s: %s" % (source, exc)) from exc
 
@@ -201,14 +199,20 @@ def cmd_compare(args) -> int:
             print("error: %s: unknown glyph %s" % (label, exc), file=sys.stderr)
             continue
         evaluated += 1
-        for mode in (CostMode.HIERARCHAL, CostMode.CHARGE_UNLEARNED):
-            try:
-                curves = _horizon_curves(net, order, args.c0, mode, cost_lookup)
-            except NotTopological as exc:
-                print("%s: not hierarchal (%d violations); hierarchal metrics skipped"
-                      % (label, len(exc.violations)))
+        try:
+            hier = _horizon_curves(net, order, args.c0)
+        except NotTopological as exc:
+            print("%s: not hierarchal (%d violations); hierarchal metrics skipped"
+                  % (label, len(exc.violations)))
+            hier = None
+        # A hierarchal order learns every closure member before its
+        # container, so charging unlearned members adds nothing to it.
+        charge = hier if hier is not None else _horizon_curves(
+            net, order, args.c0, CostMode.CHARGE_UNLEARNED, cost_lookup)
+        for mode, tag, curves in ((CostMode.HIERARCHAL, "hier", hier),
+                                  (CostMode.CHARGE_UNLEARNED, "charge", charge)):
+            if curves is None:
                 continue
-            tag = "hier" if mode is CostMode.HIERARCHAL else "charge"
             for h, cv in curves.items():
                 # Rows format the rounded numbers, as summary.json holds them.
                 r = _summary(cv)

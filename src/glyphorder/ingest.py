@@ -1,7 +1,7 @@
 """Parsers and serializers for the on-disk formats.
 
-All files are UTF-8 with `\\n` line endings; `#` starts a comment line in
-every format. Formats:
+All files are UTF-8 with `\\n` line endings (a leading byte-order mark is
+ignored); `#` starts a comment line in every format. Formats:
 
   decompositions  glyph<TAB>kind<TAB>space-separated components or "-"<TAB>strokes
                   kind codes: p (primitive character), pc (primitive
@@ -42,10 +42,16 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _SPACE = re.compile(r"\s")
 
 
+def _strip_bom(text: str) -> str:
+    """The text without a leading byte-order mark, which would otherwise
+    join the first id or hide an order CSV's header."""
+    return text.removeprefix("\ufeff")
+
+
 def _lines(text: str) -> list[tuple[int, str]]:
     """Numbered content lines, comments and blanks dropped."""
     out = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(_strip_bom(text).split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line or line.startswith("#"):
             continue
@@ -128,6 +134,9 @@ def parse_decompositions(text: str) -> list[GlyphNode]:
             raise ParseError("line %d: glyph id - is the empty-components marker" % lineno)
         if _SPACE.search(glyph):
             raise ParseError("line %d: glyph id %r contains whitespace" % (lineno, glyph))
+        # The order CSV separates its fields by commas and does not quote.
+        if "," in glyph:
+            raise ParseError("line %d: glyph id %r contains a comma" % (lineno, glyph))
         nodes.append(GlyphNode(id=glyph, kind=GlyphKind(kind_code),
                                components=components, strokes=strokes))
     return nodes
@@ -172,7 +181,7 @@ def parse_order_csv(text: str) -> list[str]:
 def parse_order_file(text: str) -> list[str]:
     """Parse either order format: an order CSV when the first content
     line is its header, else one glyph id per line."""
-    first = _CONTENT_LINE.search(text)
+    first = _CONTENT_LINE.search(_strip_bom(text))
     if first and first.group().startswith(_ORDER_CSV_HEADER):
         return parse_order_csv(text)
     return parse_order(text)

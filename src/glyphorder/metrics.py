@@ -23,7 +23,7 @@ averages over the order.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -134,10 +134,9 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
         violations = validate_topological(net, order)
         if violations:
             raise NotTopological(violations)
-
-    own_cost = {item.glyph: item.cost for item in order}
-    charge_costs = dict(cost_lookup) if cost_lookup else {}
-    charge_costs.update(own_cost)
+    else:
+        charge_costs = dict(cost_lookup) if cost_lookup else {}
+        charge_costs.update((item.glyph, item.cost) for item in order)
 
     points: list[tuple[float, float]] = []
     counts: list[int] = []
@@ -179,16 +178,17 @@ def at_horizon(cv: LearningCurve, h: float) -> tuple[int, float, float]:
 
     Valid for 0 < h <= cv.c0: consumption is a prefix property, so
     truncating the stored corners reproduces a fresh evaluation at h.
+    Corner costs increase strictly, so the kept corners are a prefix
+    found by bisection.
     """
     if h <= 0:
         raise NonPositiveHorizon("horizon must be positive, got %r" % (h,))
     if h > cv.c0:
         raise ValueError("horizon %g exceeds the curve's c0 %g" % (h, cv.c0))
-    kept = [(c, f) for (c, f) in cv.points if c <= h]
-    n = sum(cnt for (c, _), cnt in zip(cv.points, cv.counts) if c <= h)
+    k = bisect_right(cv.points, h, key=lambda point: point[0])
+    kept = cv.points[:k]
     final = kept[-1][1] if kept else 0.0
-    mean = _step_area(kept, h) / h
-    return n, final, mean
+    return sum(cv.counts[:k]), final, _step_area(kept, h) / h
 
 
 def truncate(cv: LearningCurve, h: float) -> LearningCurve:
@@ -234,57 +234,33 @@ def cluster_stats(net: DecompositionNetwork, order: LearningOrder | Sequence[str
     limit = len(ids) if max_n is None else min(max_n, len(ids))
     pos = {g: k for k, g in enumerate(ids)}
 
-    # Positions of the order's items per direct component they contain,
-    # ascending because they are appended in order.
-    member_pos: dict[str, list[int]] = {}
+    # One pass in order. `last[comp]` is the latest position so far whose
+    # item holds comp; it and the item at k are each other's nearest
+    # holders of comp on that side, so both take the distance. A 0 marks
+    # an undefined distance (real ones are at least 1).
+    d1 = [0] * len(ids)
+    d2 = [0] * len(ids)
+    last: dict[str, int] = {}
     for k, glyph in enumerate(ids):
         for comp in set(net.node(glyph).components):
-            member_pos.setdefault(comp, []).append(k)
-
-    d1 = np.full(len(ids), np.nan)
-    d2 = np.full(len(ids), np.nan)
-    for k, glyph in enumerate(ids):
-        comps = set(net.node(glyph).components)
-        best1 = None
-        best2 = None
-        for comp in comps:
             at = pos.get(comp)
-            if at is not None and at < k:
+            if at is not None and at < k and (not d1[k] or k - at < d1[k]):
+                d1[k] = k - at
+            at = last.get(comp)
+            if at is not None:
                 dist = k - at
-                if best1 is None or dist < best1:
-                    best1 = dist
-            for other in _nearest(member_pos.get(comp, ()), k):
-                if best2 is None or other < best2:
-                    best2 = other
-        if best1 is not None:
-            d1[k] = best1
-        if best2 is not None:
-            d2[k] = best2
+                if not d2[k] or dist < d2[k]:
+                    d2[k] = dist
+                if not d2[at] or dist < d2[at]:
+                    d2[at] = dist
+            last[comp] = k
 
-    rows = []
-    have1 = np.cumsum(~np.isnan(d1))
-    have2 = np.cumsum(~np.isnan(d2))
-    sum1 = np.cumsum(np.nan_to_num(d1))
-    sum2 = np.cumsum(np.nan_to_num(d2))
-    for n in range(1, limit + 1):
-        avg1 = float(sum1[n - 1] / have1[n - 1]) if have1[n - 1] else None
-        avg2 = float(sum2[n - 1] / have2[n - 1]) if have2[n - 1] else None
-        rows.append(ClusterRow(n=n, avg_d1=avg1, avg_d2=avg2))
-    return ClusterStats(rows=tuple(rows))
-
-
-def _nearest(positions: Sequence[int], k: int) -> list[int]:
-    """Distances from k to its nearest neighbors (excluding k) in a
-    sorted position list; empty when k is the only occupant."""
-    out = []
-    at = bisect_left(positions, k)
-    below = at - 1
-    above = at + 1 if at < len(positions) and positions[at] == k else at
-    if below >= 0:
-        out.append(k - positions[below])
-    if above < len(positions):
-        out.append(positions[above] - k)
-    return out
+    # Integer prefix sums, so each average is one correctly rounded division.
+    have1, sum1, have2, sum2 = (np.cumsum(column).tolist() for column in (
+        [d > 0 for d in d1], d1, [d > 0 for d in d2], d2))
+    rows = tuple(ClusterRow(n=n, avg_d1=s1 / h1 if h1 else None, avg_d2=s2 / h2 if h2 else None)
+                 for n, h1, s1, h2, s2 in zip(range(1, limit + 1), have1, sum1, have2, sum2))
+    return ClusterStats(rows=rows)
 
 
 def serialize_curve_csv(cv: LearningCurve) -> str:

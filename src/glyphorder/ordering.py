@@ -92,12 +92,13 @@ def target_pool(net: DecompositionNetwork, items: Sequence[str]) -> tuple[set[st
 
 
 def _make_items(table: CentralityTable, ids: Sequence[str]) -> tuple[OrderItem, ...]:
+    entries = table.entries
     items = []
     for glyph in ids:
-        if glyph not in table:
+        entry = entries.get(glyph)
+        if entry is None:
             raise UnknownId(glyph)
-        entry = table[glyph]
-        items.append(OrderItem(glyph=glyph, cost=entry.c, freq=entry.f))
+        items.append(OrderItem(glyph, entry.c, entry.f))
     return tuple(items)
 
 

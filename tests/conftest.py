@@ -5,20 +5,24 @@ written before the library and kept frozen: a quadratic-time
 transcription of the repair sweep that re-scans the list instead of
 maintaining positions, a permutation-filter enumerator of topological
 orders, a brute-force search that scores each candidate with `curve`,
-and random network/centrality generators with fixed seeds.
+clustering statistics from per-component position lists searched by
+bisection, and random network/centrality generators with fixed seeds.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import permutations
 from pathlib import Path
+from typing import Sequence
 
+import numpy as np
 import pytest
 
 from glyphorder.costmodel import Centrality, CentralityTable, CostParams, centralities
 from glyphorder.ingest import FrequencyTable, parse_decompositions, parse_frequencies
-from glyphorder.metrics import curve
+from glyphorder.metrics import ClusterRow, ClusterStats, curve
 from glyphorder.network import DecompositionNetwork, GlyphKind, GlyphNode, build_network
 from glyphorder.ordering import (LearningOrder, Provenance, TooLarge, _make_items,
                                  expand_selection, external_order)
@@ -258,3 +262,63 @@ def oracle_brute_force(net: DecompositionNetwork, table: CentralityTable,
         return LearningOrder(items=(), provenance=Provenance.BRUTE_FORCE_OPTIMAL)
     return LearningOrder(items=_make_items(table, best["order"]),
                          provenance=Provenance.BRUTE_FORCE_OPTIMAL)
+
+
+def oracle_cluster_stats(net: DecompositionNetwork, order: LearningOrder | Sequence[str],
+                         max_n: int | None = None) -> ClusterStats:
+    """Clustering statistics by position lists: for each direct component,
+    the ascending positions of the items holding it; an item's nearest
+    sharers of that component are its neighbours in the list."""
+    ids = order.ids() if isinstance(order, LearningOrder) else list(order)
+    limit = len(ids) if max_n is None else min(max_n, len(ids))
+    pos = {g: k for k, g in enumerate(ids)}
+
+    member_pos: dict[str, list[int]] = {}
+    for k, glyph in enumerate(ids):
+        for comp in set(net.node(glyph).components):
+            member_pos.setdefault(comp, []).append(k)
+
+    d1 = np.full(len(ids), np.nan)
+    d2 = np.full(len(ids), np.nan)
+    for k, glyph in enumerate(ids):
+        comps = set(net.node(glyph).components)
+        best1 = None
+        best2 = None
+        for comp in comps:
+            at = pos.get(comp)
+            if at is not None and at < k:
+                dist = k - at
+                if best1 is None or dist < best1:
+                    best1 = dist
+            for other in _oracle_nearest(member_pos.get(comp, ()), k):
+                if best2 is None or other < best2:
+                    best2 = other
+        if best1 is not None:
+            d1[k] = best1
+        if best2 is not None:
+            d2[k] = best2
+
+    rows = []
+    have1 = np.cumsum(~np.isnan(d1))
+    have2 = np.cumsum(~np.isnan(d2))
+    sum1 = np.cumsum(np.nan_to_num(d1))
+    sum2 = np.cumsum(np.nan_to_num(d2))
+    for n in range(1, limit + 1):
+        avg1 = float(sum1[n - 1] / have1[n - 1]) if have1[n - 1] else None
+        avg2 = float(sum2[n - 1] / have2[n - 1]) if have2[n - 1] else None
+        rows.append(ClusterRow(n=n, avg_d1=avg1, avg_d2=avg2))
+    return ClusterStats(rows=tuple(rows))
+
+
+def _oracle_nearest(positions: Sequence[int], k: int) -> list[int]:
+    """Distances from k to its nearest neighbors (excluding k) in a
+    sorted position list; empty when k is the only occupant."""
+    out = []
+    at = bisect_left(positions, k)
+    below = at - 1
+    above = at + 1 if at < len(positions) and positions[at] == k else at
+    if below >= 0:
+        out.append(k - positions[below])
+    if above < len(positions):
+        out.append(positions[above] - k)
+    return out

@@ -232,6 +232,21 @@ def test_compare_rote_against_baselines(tmp_path, capsys):
     assert "rote_order_hier_curve.csv" not in names
 
 
+def test_hierarchal_order_reuses_its_curve_for_charge_mode(tmp_path):
+    # Charging unlearned members adds nothing to a hierarchal order, so
+    # its charge files are its hierarchal ones; a rote order gets its own.
+    out = tmp_path / "cmp"
+    assert run("compare", DATA_DIR / "rote_order.txt", "--include-optimized",
+               "--out", out, "--c0", 12) == 0
+    for suffix in ("csv", "json"):
+        hier = (out / ("optimized_hier_curve." + suffix)).read_bytes()
+        assert (out / ("optimized_charge_curve." + suffix)).read_bytes() == hier
+    assert not (out / "rote_order_hier_curve.csv").exists()
+    rote = (out / "rote_order_charge_curve.csv").read_text(encoding="utf-8")
+    optimized = (out / "optimized_charge_curve.csv").read_text(encoding="utf-8")
+    assert rote != optimized and len(rote.splitlines()) > 1
+
+
 def test_compare_skips_bad_files_but_continues(tmp_path, capsys):
     out = tmp_path / "cmp"
     assert run("compare", tmp_path / "absent.txt", DATA_DIR / "rote_order.txt",

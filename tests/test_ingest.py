@@ -41,6 +41,8 @@ def test_parse_decompositions_comments_and_blanks():
     ("-\tp\t-\t1\n", "id is the empty-components marker"),
     ("a b\tp\t-\t1\n", "id contains a space"),
     (" 口\tp\t-\t3\n", "id starts with a space"),
+    # The order CSV separates fields by commas, so it could not carry this id.
+    ("a,b\tp\t-\t3\n", "id contains a comma"),
 ])
 def test_parse_decompositions_errors(bad, what):
     with pytest.raises(ParseError, match="^line 1: "):
@@ -103,6 +105,17 @@ def test_parse_target_list():
 def test_order_round_trip():
     order = ["白", "勺", "的"]
     assert parse_order(serialize_order(order)) == order
+
+
+def test_parsers_drop_a_byte_order_mark():
+    bom = "\ufeff"
+    assert [n.id for n in parse_decompositions(bom + "口\tp\t-\t3\n")] == ["口"]
+    assert parse_frequencies(bom + "口\t3\n").raw == {"口": 3}
+    assert parse_order(bom + "口\n日\n") == ["口", "日"]
+    csv = "rank,glyph,kind,cost,freq,eta,cum_cost,cum_freq\n1,白,p,1.5,0.1,0.07,1.5,0.1\n"
+    assert parse_order_file(bom + csv) == ["白"]
+    # A mark before a comment line leaves it a comment.
+    assert parse_order_file(bom + "# note\n" + csv) == ["白"]
 
 
 def test_order_csv_reader_requires_header():

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glyphorder.costmodel import Centrality, CentralityTable
 from glyphorder.metrics import (CostMode, MissingCost, NonPositiveHorizon, NotTopological,
@@ -13,7 +15,7 @@ from glyphorder.network import GlyphKind, GlyphNode, build_network
 from glyphorder.ordering import (external_order, kahn_order, priority_topo_sort,
                                  pure_frequency_order)
 
-from conftest import random_centralities, random_network
+from conftest import oracle_cluster_stats, random_centralities, random_network
 
 P = GlyphKind.PRIMITIVE_CHARACTER
 C = GlyphKind.COMPOUND
@@ -298,6 +300,28 @@ def test_cluster_prefix_restricts_averaging_only():
     assert capped.rows == full.rows[:2]
     # d2 at position 1 (X) looks forward to Y even with max_n=2.
     assert capped.rows[1].avg_d2 == 1.0
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["sweep", "kahn", "shuffled", "partial", "repeated"]),
+       cap=st.one_of(st.none(), st.integers(0, 80)))
+def test_cluster_stats_matches_position_list_oracle(seed, shape, cap):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=60, sparse=rng.random() < 0.3)
+    table = random_centralities(rng, net)
+    ids = list(net.ids())
+    if shape == "sweep":
+        order = priority_topo_sort(net, table, rng.sample(ids, rng.randint(1, len(ids))))
+    elif shape == "kahn":
+        order = kahn_order(net, table, ids)
+    elif shape == "shuffled":
+        order = rng.sample(ids, len(ids))
+    elif shape == "partial":
+        order = rng.sample(ids, rng.randint(0, len(ids)))
+    else:
+        order = [rng.choice(ids) for _ in range(rng.randint(0, 2 * len(ids)))]
+    assert cluster_stats(net, order, cap) == oracle_cluster_stats(net, order, cap)
 
 
 def test_curve_serializers():

@@ -25,23 +25,27 @@ def python(argv, cwd, **env):
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    # The sweep and word expansion group glyphs in sets; set order varies
-    # with PYTHONHASHSEED, and none of it may reach an output. The bundled
-    # corpus has zero-frequency components in both modes, so both runs
-    # place some glyphs without sweeping them.
+    # The sweep, word expansion and cluster statistics group glyphs in
+    # sets; set order varies with PYTHONHASHSEED, and none of it may reach
+    # an output. The bundled corpus has zero-frequency components in both
+    # modes, so both runs place some glyphs without sweeping them. The
+    # rote order is not hierarchal, so `compare` prices it in charge mode
+    # and reuses the optimized order's hierarchal curve.
+    rote = str(ROOT / "src" / "glyphorder" / "data" / "rote_order.txt")
+    commands = {"order": [], "words": [], "compare": [rote, "--include-optimized"]}
     runs = {}
     for seed in ("1", "2"):
         cwd = tmp_path / seed
         cwd.mkdir()
-        for command in ("order", "words"):
-            done = python(["-m", "glyphorder.cli", command, "--c0", "12", "--out", command],
-                          cwd, PYTHONHASHSEED=seed)
+        for command, extra in commands.items():
+            done = python(["-m", "glyphorder.cli", command, *extra, "--c0", "12",
+                           "--out", command], cwd, PYTHONHASHSEED=seed)
             assert done.returncode == 0, done.stderr
             files = {p.relative_to(cwd).as_posix(): p.read_bytes()
                      for p in sorted((cwd / command).iterdir())}
             runs.setdefault(seed, []).append((done.stdout, files))
     assert runs["1"] == runs["2"]
-    assert [len(files) for _, files in runs["1"]] == [5, 6]
+    assert [len(files) for _, files in runs["1"]] == [5, 6, 9]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
