@@ -24,6 +24,8 @@ from .network import DecompositionNetwork, GlyphKind, GlyphNode
 
 DEFAULT_GAMMA = 0.1
 
+_VARIANT = GlyphKind.VARIANT
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -59,11 +61,12 @@ def cost(node: GlyphNode, params: CostParams) -> float:
     """Learning cost of one node under `params`."""
     if node.id in params.known:
         return 0.0
-    if node.kind.is_primitive:
+    kind = node.kind
+    if kind.is_primitive:
         # Decimal parameters should yield decimal costs: gamma 0.1 with 7
         # strokes is exactly 1.7, not 1 + 0.7000000000000001.
         base = round(1.0 + params.gamma * node.strokes, 12)
-    elif node.kind is GlyphKind.VARIANT:
+    elif kind is _VARIANT:
         base = params.variant_cost
     else:
         # Compound and word: one combination per extra component, with
@@ -72,7 +75,7 @@ def cost(node: GlyphNode, params: CostParams) -> float:
     return base * params.suppression.get(node.id, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Centrality:
     """Frequency share, cost, and their ratio for one node."""
 
@@ -124,9 +127,10 @@ def benefit_ratio(f: float, c: float) -> float:
 def centralities(net: DecompositionNetwork, freq: FrequencyTable,
                  params: CostParams) -> CentralityTable:
     """Compute f, c, and eta for every node of the network."""
+    shares = freq.entries
     entries = {}
     for node in net.nodes():
-        f = freq.get(node.id)
+        f = shares.get(node.id, 0.0)
         c = cost(node, params)
-        entries[node.id] = Centrality(f=f, c=c, eta=benefit_ratio(f, c))
+        entries[node.id] = Centrality(f, c, benefit_ratio(f, c))
     return CentralityTable(entries=entries)

@@ -6,8 +6,10 @@ ignored); `#` starts a comment line in every format. Formats:
   decompositions  glyph<TAB>kind<TAB>space-separated components or "-"<TAB>strokes
                   kind codes: p (primitive character), pc (primitive
                   component), c (compound), v (variant); a glyph id
-                  holds no whitespace and is not "-"
-  frequencies     token<TAB>count            (count a positive integer)
+                  is not empty, holds no whitespace or comma and is
+                  not "-"
+  frequencies     token<TAB>count            (count a positive integer;
+                  a token is not empty and holds no whitespace)
   orders          one glyph id per line, or the order CSV (rank,glyph,... header)
   target lists    one word per line
 
@@ -35,7 +37,11 @@ class EmptyTable(ParseError):
     """A frequency file contained no records."""
 
 
-_KIND_CODES = {"p", "pc", "c", "v"}
+# The kinds a decompositions file may name, by code; words are built by
+# `expand_with_words`, never read.
+_FILE_KINDS = {kind.code: kind for kind in (GlyphKind.PRIMITIVE_CHARACTER,
+                                            GlyphKind.PRIMITIVE_COMPONENT,
+                                            GlyphKind.COMPOUND, GlyphKind.VARIANT)}
 _ORDER_CSV_HEADER = "rank,glyph,"
 _CONTENT_LINE = re.compile(r"^[^#\r\n][^\r\n]*", re.MULTILINE)
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -53,9 +59,8 @@ def _lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(_strip_bom(text).split("\n"), start=1):
         line = raw.rstrip("\r")
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
+        if line and line[0] != "#":
+            out.append((lineno, line))
     return out
 
 
@@ -105,6 +110,16 @@ def _integer(field: str, lineno: int, what: str) -> int:
     raise ParseError("line %d: non-integer %s %r" % (lineno, what, field))
 
 
+def _check_spelling(token: str, lineno: int, what: str) -> None:
+    """Reject an empty token or one holding whitespace. A glyph id must be
+    writable in a whitespace-separated components field, so it is
+    neither, and a frequency token that is either could match no id."""
+    if not token:
+        raise ParseError("line %d: empty %s" % (lineno, what))
+    if _SPACE.search(token):
+        raise ParseError("line %d: %s %r contains whitespace" % (lineno, what, token))
+
+
 def _items(text: str, what: str) -> list[str]:
     """One stripped item per line; duplicates rejected."""
     items: dict[str, None] = {}
@@ -123,22 +138,21 @@ def parse_decompositions(text: str) -> list[GlyphNode]:
         if len(fields) != 4:
             raise ParseError("line %d: expected 4 tab-separated fields, got %d" % (lineno, len(fields)))
         glyph, kind_code, comps_field, strokes_field = fields
-        if kind_code not in _KIND_CODES:
+        kind = _FILE_KINDS.get(kind_code)
+        if kind is None:
             raise ParseError("line %d: unknown kind %r" % (lineno, kind_code))
         components = () if comps_field == "-" else tuple(comps_field.split())
         strokes = _integer(strokes_field, lineno, "strokes")
         if strokes < 0:
             raise ParseError("line %d: negative strokes" % lineno)
         # An id must be writable in a components field.
+        _check_spelling(glyph, lineno, "glyph id")
         if glyph == "-":
             raise ParseError("line %d: glyph id - is the empty-components marker" % lineno)
-        if _SPACE.search(glyph):
-            raise ParseError("line %d: glyph id %r contains whitespace" % (lineno, glyph))
         # The order CSV separates its fields by commas and does not quote.
         if "," in glyph:
             raise ParseError("line %d: glyph id %r contains a comma" % (lineno, glyph))
-        nodes.append(GlyphNode(id=glyph, kind=GlyphKind(kind_code),
-                               components=components, strokes=strokes))
+        nodes.append(GlyphNode(glyph, kind, components, strokes))
     return nodes
 
 
@@ -150,6 +164,8 @@ def parse_frequencies(text: str) -> FrequencyTable:
         if len(fields) != 2:
             raise ParseError("line %d: expected 2 tab-separated fields, got %d" % (lineno, len(fields)))
         token, count_field = fields
+        # A token no id can match would still dilute every share.
+        _check_spelling(token, lineno, "token")
         _check_new(counts, token, lineno, "token")
         count = _integer(count_field, lineno, "count")
         if count <= 0:

@@ -10,6 +10,7 @@ ordering and metrics modules.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -56,16 +57,19 @@ class GlyphKind(Enum):
     VARIANT = "v"
     WORD = "w"
 
-    @property
-    def code(self) -> str:
-        return self.value
-
-    @property
-    def is_primitive(self) -> bool:
-        return self in (GlyphKind.PRIMITIVE_CHARACTER, GlyphKind.PRIMITIVE_COMPONENT)
+    def __init__(self, code: str):
+        # Plain attributes, set once per member: the cost model and the
+        # shape check read them for every node.
+        self.code = code
+        self.is_primitive = code in ("p", "pc")
 
 
-@dataclass(frozen=True)
+_VARIANT = GlyphKind.VARIANT
+_COMPOUND = GlyphKind.COMPOUND
+_WORD = GlyphKind.WORD
+
+
+@dataclass(frozen=True, slots=True)
 class GlyphNode:
     """One glyph: identity, kind, direct components, stroke count.
 
@@ -86,13 +90,14 @@ def _check_shape(node: GlyphNode) -> None:
         raise InvalidNode("empty glyph id")
     if node.strokes < 0:
         raise InvalidNode("%s: negative stroke count" % node.id)
-    if node.kind.is_primitive and n != 0:
+    kind = node.kind
+    if kind.is_primitive and n != 0:
         raise InvalidNode("%s: primitive with components" % node.id)
-    if node.kind is GlyphKind.VARIANT and n != 1:
+    if kind is _VARIANT and n != 1:
         raise InvalidNode("%s: variant must have exactly one component, got %d" % (node.id, n))
-    if node.kind is GlyphKind.COMPOUND and n < 2:
+    if kind is _COMPOUND and n < 2:
         raise InvalidNode("%s: compound needs at least two components, got %d" % (node.id, n))
-    if node.kind is GlyphKind.WORD and n < 2:
+    if kind is _WORD and n < 2:
         raise InvalidNode("%s: word needs at least two characters, got %d" % (node.id, n))
 
 
@@ -183,17 +188,18 @@ def build_network(nodes: Iterable[GlyphNode]) -> DecompositionNetwork:
             raise DuplicateId(node.id)
         by_id[node.id] = node
 
-    containers: dict[str, list[str]] = {}
-    for node in by_id.values():
-        listed: set[str] = set()
-        for comp in node.components:
-            if comp not in by_id:
-                raise DanglingReference("%s: unresolved component %s" % (node.id, comp))
-            if by_id[comp].kind is GlyphKind.WORD:
-                raise InvalidNode("%s: word %s used as component" % (node.id, comp))
-            if comp not in listed:
-                listed.add(comp)
-                containers.setdefault(comp, []).append(node.id)
+    containers: defaultdict[str, list[str]] = defaultdict(list)
+    for glyph, node in by_id.items():
+        comps = node.components
+        for comp in comps:
+            target = by_id.get(comp)
+            if target is None:
+                raise DanglingReference("%s: unresolved component %s" % (glyph, comp))
+            if target.kind is _WORD:
+                raise InvalidNode("%s: word %s used as component" % (glyph, comp))
+        # A repeated component makes one edge, not two.
+        for comp in dict.fromkeys(comps) if len(comps) > 1 else comps:
+            containers[comp].append(glyph)
 
     _check_acyclic(by_id)
     frozen = {glyph: tuple(cs) for glyph, cs in containers.items()}
@@ -204,11 +210,15 @@ def _check_acyclic(by_id: dict[str, GlyphNode]) -> None:
     """Depth-first cycle check; raises CycleDetected with a witness path."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = dict.fromkeys(by_id, WHITE)
-    for start in by_id:
+    for start, node in by_id.items():
         if color[start] != WHITE:
             continue
+        # A node without components closes no cycle: done at once.
+        if not node.components:
+            color[start] = BLACK
+            continue
         path = [start]
-        stack = [iter(by_id[start].components)]
+        stack = [iter(node.components)]
         color[start] = GRAY
         while stack:
             child = next(stack[-1], None)
@@ -222,6 +232,10 @@ def _check_acyclic(by_id: dict[str, GlyphNode]) -> None:
             if state == GRAY:
                 cycle = path[path.index(child):] + [child]
                 raise CycleDetected(cycle)
+            comps = by_id[child].components
+            if not comps:
+                color[child] = BLACK
+                continue
             color[child] = GRAY
             path.append(child)
-            stack.append(iter(by_id[child].components))
+            stack.append(iter(comps))

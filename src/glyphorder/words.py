@@ -35,8 +35,11 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
     """Add word nodes for the `top_k` most frequent words.
 
     Multi-character words among the top_k become nodes with their
-    characters as components; a word whose character is missing from the
-    base network is dropped and listed in the report as (word, reason).
+    characters, split into single code points, as components; a word
+    whose character is missing from the base network is dropped and
+    listed in the report as (word, reason). The reason names a
+    multi-code-point id of the network that the word contains, since no
+    split can reach it, else the first missing character.
     Single-character tokens add no nodes. The returned frequency table is
     the word table itself, untouched: normalization stays over the whole
     corpus, and any standalone frequency applies whatever its rank.
@@ -44,6 +47,9 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
     ranked = sorted(word_freq.raw, key=lambda w: (-word_freq.raw[w], w))
     report: list[tuple[str, str]] = []
     nodes = list(net.nodes())
+    # Ids such as a base letter plus a combining mark, which a word split
+    # into code points can never name.
+    multi = [glyph for glyph in net.ids() if len(glyph) > 1]
     for token in ranked[:cfg.top_k]:
         chars = tuple(token)
         if len(chars) < 2:
@@ -53,7 +59,12 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
             continue
         missing = [ch for ch in chars if ch not in net]
         if missing:
-            report.append((token, "unknown character %s" % missing[0]))
+            spanning = [glyph for glyph in multi if glyph in token]
+            if spanning:
+                report.append((token, "contains multi-code-point id %s; words are "
+                                      "split into single code points" % spanning[0]))
+            else:
+                report.append((token, "unknown character %s" % missing[0]))
             continue
         nodes.append(GlyphNode(id=token, kind=GlyphKind.WORD, components=chars))
     return build_network(nodes), word_freq, report

@@ -6,12 +6,15 @@ transcription of the repair sweep that re-scans the list instead of
 maintaining positions, a permutation-filter enumerator of topological
 orders, a brute-force search that scores each candidate with `curve`,
 clustering statistics from per-component position lists searched by
-bisection, and random network/centrality generators with fixed seeds.
+bisection, the decomposition parser, network builder and centralities
+as they stood before their per-node overhead was cut, and random
+network/centrality generators with fixed seeds.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left
 from itertools import permutations
 from pathlib import Path
@@ -20,10 +23,13 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from glyphorder.costmodel import Centrality, CentralityTable, CostParams, centralities
-from glyphorder.ingest import FrequencyTable, parse_decompositions, parse_frequencies
+from glyphorder.costmodel import (Centrality, CentralityTable, CostParams, benefit_ratio,
+                                  centralities)
+from glyphorder.ingest import (FrequencyTable, ParseError, _integer, _lines,
+                               parse_decompositions, parse_frequencies)
 from glyphorder.metrics import ClusterRow, ClusterStats, curve
-from glyphorder.network import DecompositionNetwork, GlyphKind, GlyphNode, build_network
+from glyphorder.network import (CycleDetected, DanglingReference, DecompositionNetwork,
+                                DuplicateId, GlyphKind, GlyphNode, InvalidNode, build_network)
 from glyphorder.ordering import (LearningOrder, Provenance, TooLarge, _make_items,
                                  expand_selection, external_order)
 
@@ -322,3 +328,129 @@ def _oracle_nearest(positions: Sequence[int], k: int) -> list[int]:
     if above < len(positions):
         out.append(positions[above] - k)
     return out
+
+
+_ORACLE_KIND_CODES = {"p", "pc", "c", "v"}
+_ORACLE_PRIMITIVES = (GlyphKind.PRIMITIVE_CHARACTER, GlyphKind.PRIMITIVE_COMPONENT)
+
+
+def oracle_parse_decompositions(text: str) -> list[GlyphNode]:
+    """Decomposition records, one check after another in the contract's
+    order: field count, kind, strokes, then the id (empty, the "-"
+    marker, whitespace, comma)."""
+    nodes = []
+    for lineno, line in _lines(text):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ParseError("line %d: expected 4 tab-separated fields, got %d" % (lineno, len(fields)))
+        glyph, kind_code, comps_field, strokes_field = fields
+        if kind_code not in _ORACLE_KIND_CODES:
+            raise ParseError("line %d: unknown kind %r" % (lineno, kind_code))
+        components = () if comps_field == "-" else tuple(comps_field.split())
+        strokes = _integer(strokes_field, lineno, "strokes")
+        if strokes < 0:
+            raise ParseError("line %d: negative strokes" % lineno)
+        if not glyph:
+            raise ParseError("line %d: empty glyph id" % lineno)
+        if glyph == "-":
+            raise ParseError("line %d: glyph id - is the empty-components marker" % lineno)
+        if re.search(r"\s", glyph):
+            raise ParseError("line %d: glyph id %r contains whitespace" % (lineno, glyph))
+        if "," in glyph:
+            raise ParseError("line %d: glyph id %r contains a comma" % (lineno, glyph))
+        nodes.append(GlyphNode(id=glyph, kind=GlyphKind(kind_code),
+                               components=components, strokes=strokes))
+    return nodes
+
+
+def _oracle_check_shape(node: GlyphNode) -> None:
+    n = len(node.components)
+    if not node.id:
+        raise InvalidNode("empty glyph id")
+    if node.strokes < 0:
+        raise InvalidNode("%s: negative stroke count" % node.id)
+    if node.kind in _ORACLE_PRIMITIVES and n != 0:
+        raise InvalidNode("%s: primitive with components" % node.id)
+    if node.kind is GlyphKind.VARIANT and n != 1:
+        raise InvalidNode("%s: variant must have exactly one component, got %d" % (node.id, n))
+    if node.kind is GlyphKind.COMPOUND and n < 2:
+        raise InvalidNode("%s: compound needs at least two components, got %d" % (node.id, n))
+    if node.kind is GlyphKind.WORD and n < 2:
+        raise InvalidNode("%s: word needs at least two characters, got %d" % (node.id, n))
+
+
+def oracle_build_network(nodes) -> DecompositionNetwork:
+    """Shapes and duplicates node by node, then every reference of every
+    node in order, then one depth-first cycle check over all nodes."""
+    by_id: dict[str, GlyphNode] = {}
+    for node in nodes:
+        _oracle_check_shape(node)
+        if node.id in by_id:
+            raise DuplicateId(node.id)
+        by_id[node.id] = node
+
+    containers: dict[str, list[str]] = {}
+    for node in by_id.values():
+        listed: set[str] = set()
+        for comp in node.components:
+            if comp not in by_id:
+                raise DanglingReference("%s: unresolved component %s" % (node.id, comp))
+            if by_id[comp].kind is GlyphKind.WORD:
+                raise InvalidNode("%s: word %s used as component" % (node.id, comp))
+            if comp not in listed:
+                listed.add(comp)
+                containers.setdefault(comp, []).append(node.id)
+
+    _oracle_check_acyclic(by_id)
+    frozen = {glyph: tuple(cs) for glyph, cs in containers.items()}
+    return DecompositionNetwork(by_id, frozen)
+
+
+def _oracle_check_acyclic(by_id: dict[str, GlyphNode]) -> None:
+    """Three-colour depth-first search from every node in input order;
+    the witness runs from the first grey node met again, back to it."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = dict.fromkeys(by_id, WHITE)
+    for start in by_id:
+        if color[start] != WHITE:
+            continue
+        path = [start]
+        stack = [iter(by_id[start].components)]
+        color[start] = GRAY
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                color[path.pop()] = BLACK
+                stack.pop()
+                continue
+            state = color[child]
+            if state == BLACK:
+                continue
+            if state == GRAY:
+                cycle = path[path.index(child):] + [child]
+                raise CycleDetected(cycle)
+            color[child] = GRAY
+            path.append(child)
+            stack.append(iter(by_id[child].components))
+
+
+def _oracle_cost(node: GlyphNode, params: CostParams) -> float:
+    if node.id in params.known:
+        return 0.0
+    if node.kind in _ORACLE_PRIMITIVES:
+        base = round(1.0 + params.gamma * node.strokes, 12)
+    elif node.kind is GlyphKind.VARIANT:
+        base = params.variant_cost
+    else:
+        base = float(len(node.components) - 1)
+    return base * params.suppression.get(node.id, 1.0)
+
+
+def oracle_centralities(net: DecompositionNetwork, freq: FrequencyTable,
+                        params: CostParams) -> CentralityTable:
+    entries = {}
+    for node in net.nodes():
+        f = freq.get(node.id)
+        c = _oracle_cost(node, params)
+        entries[node.id] = Centrality(f=f, c=c, eta=benefit_ratio(f, c))
+    return CentralityTable(entries=entries)

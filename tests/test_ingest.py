@@ -1,11 +1,20 @@
 """File format parsing, normalization, serialization round-trips."""
 
-import pytest
+import random
 
-from glyphorder.ingest import (DuplicateToken, EmptyTable, ParseError, parse_decompositions,
-                               parse_frequencies, parse_order, parse_order_csv,
-                               parse_order_file, parse_target_list, serialize_order)
-from glyphorder.network import GlyphKind
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glyphorder.costmodel import CostParams, centralities
+from glyphorder.ingest import (DuplicateToken, EmptyTable, FrequencyTable, ParseError,
+                               parse_decompositions, parse_frequencies, parse_order,
+                               parse_order_csv, parse_order_file, parse_target_list,
+                               serialize_order)
+from glyphorder.network import GlyphKind, NetworkError, build_network
+
+from conftest import (oracle_build_network, oracle_centralities, oracle_parse_decompositions,
+                      random_network)
 
 
 def test_parse_decomposition_records():
@@ -38,6 +47,7 @@ def test_parse_decompositions_comments_and_blanks():
     ("口\tp\t-\t-3\n", "negative strokes"),
     # "-" marks an empty components field, and whitespace separates
     # components, so neither id could be named as a component.
+    ("\tp\t-\t1\n", "empty id"),
     ("-\tp\t-\t1\n", "id is the empty-components marker"),
     ("a b\tp\t-\t1\n", "id contains a space"),
     (" 口\tp\t-\t3\n", "id starts with a space"),
@@ -87,6 +97,13 @@ def test_parse_frequencies_errors():
             parse_frequencies("A\t%s\n" % count)
     with pytest.raises(ParseError):
         parse_frequencies("A 3\n")
+    # No glyph id is empty or holds whitespace, so such a token could
+    # only dilute the shares of the others.
+    with pytest.raises(ParseError, match="^line 2: empty token$"):
+        parse_frequencies("口\t5\n\t7\n")
+    for token in (" ", "口 ", "口\u3000日"):
+        with pytest.raises(ParseError, match="^line 2: token .* contains whitespace$"):
+            parse_frequencies("口\t5\n%s\t7\n" % token)
 
 
 def test_parse_order_and_duplicates():
@@ -134,3 +151,87 @@ def test_order_file_format_follows_first_content_line():
     assert parse_order_file("") == []
     with pytest.raises(DuplicateToken, match="line 3: duplicate glyph 白"):
         parse_order_file(csv + "2,白,p,1.5,0.1,0.07,3.0,0.2\n")
+
+
+def _inject_faults(rng: random.Random, net) -> list[list[str]]:
+    """Decomposition rows of `net`, each with some chance of a duplicate
+    id, a dangling component, a shape error and a back edge, and, on one
+    line, some of a bad field count, kind, stroke count and id."""
+    rows = [[n.id, n.kind.code, " ".join(n.components) or "-", str(n.strokes)]
+            for n in net.nodes()]
+    at = {row[0]: row for row in rows}
+    # A compound in a glyph's closure that lists the glyph closes a cycle,
+    # as does a compound listing itself.
+    back_edges = [(row, at[m]) for row in rows for m in net.closure(row[0]) if at[m][1] == "c"]
+    back_edges += [(row, row) for row in rows if row[1] == "c"]
+    # Half the faults land on one row, where the order of checks shows.
+    target = rng.choice(rows)
+
+    def pick():
+        return target if rng.random() < 0.5 else rng.choice(rows)
+
+    if rng.random() < 0.2:
+        pick()[0] = rng.choice(rows)[0]
+    if rng.random() < 0.15:
+        row = pick()
+        row[2] = "nowhere" if row[2] == "-" else row[2] + " nowhere"
+    if rng.random() < 0.2:
+        pick()[1] = rng.choice(["p", "pc", "c", "v"])
+    if back_edges and rng.random() < 0.3:
+        container, member = rng.choice(back_edges)
+        member[2] += " " + container[0]
+    if rng.random() < 0.4:
+        row = pick()
+        faults = rng.sample(["kind", "strokes", "id", "fields"], rng.randint(1, 3))
+        if "kind" in faults:
+            row[1] = rng.choice(["q", "w", "P", "", "pcc"])
+        if "strokes" in faults:
+            row[3] = rng.choice(["x", "+3", "-2", " 7", "\u0663", "", "1_0"])
+        if "id" in faults:
+            row[0] = rng.choice(["", "-", "a b", "a\u3000b", "x\u00a0y", "a,b", " " + row[0]])
+        if "fields" in faults and rng.random() < 0.5:
+            row.append("extra")
+        elif "fields" in faults:
+            row.pop()
+    return rows
+
+
+def _ingest_outcome(text, freq, params, parse, build, rank):
+    """Nodes, network, closures and centralities, or the error raised."""
+    try:
+        nodes = parse(text)
+        net = build(nodes)
+    except (ParseError, NetworkError) as exc:
+        return type(exc), str(exc), getattr(exc, "cycle", None)
+    return (nodes, list(net.nodes()), {g: net.containers(g) for g in net.ids()},
+            {g: net.closure(g) for g in net.ids()},
+            [rank(net, freq, p).entries for p in params])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ingest_matches_frozen_oracles(seed):
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=rng.choice([3, 12, 25]))
+    rows = _inject_faults(rng, net)
+    lines = []
+    for row in rows:
+        lines.extend(rng.choice([[], [], [], ["# note"], [""]]))
+        lines.append("\t".join(row))
+    text = "\n".join(lines) + rng.choice(["", "\n"])
+
+    ids = [row[0] for row in rows]
+    freq = FrequencyTable.from_counts(
+        {g: rng.randint(1, 50) for g in rng.sample(ids, rng.randint(0, len(ids)))} | {"zz": 3})
+    primitives = frozenset(row[0] for row in rows if row[1] in ("p", "pc"))
+    params = [CostParams(gamma=rng.choice([0.0, 0.1, 0.25, rng.uniform(0.0, 3.0)]),
+                         variant_cost=rng.choice([1.0, 0.5, 2.5]),
+                         known=rng.choice([frozenset(), primitives,
+                                           frozenset(rng.sample(ids, rng.randint(0, len(ids))))]),
+                         suppression={g: rng.choice([0.0, 0.5, 1.0]) for g in rng.sample(ids, 2)
+                                      if rng.random() < 0.3})
+              for _ in range(2)]
+    expected = _ingest_outcome(text, freq, params, oracle_parse_decompositions,
+                               oracle_build_network, oracle_centralities)
+    assert _ingest_outcome(text, freq, params, parse_decompositions,
+                           build_network, centralities) == expected

@@ -30,22 +30,26 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # an output. The bundled corpus has zero-frequency components in both
     # modes, so both runs place some glyphs without sweeping them. The
     # rote order is not hierarchal, so `compare` prices it in charge mode
-    # and reuses the optimized order's hierarchal curve.
-    rote = str(ROOT / "src" / "glyphorder" / "data" / "rote_order.txt")
-    commands = {"order": [], "words": [], "compare": [rote, "--include-optimized"]}
+    # and reuses the optimized order's hierarchal curve. The rerun takes
+    # its known set from the glyph kinds, whose hash is that of their name.
+    data = ROOT / "src" / "glyphorder" / "data"
+    commands = {"order": ["order"], "words": ["words"],
+                "compare": ["compare", str(data / "rote_order.txt"), "--include-optimized"],
+                "rerun": ["order", "--known", "all-primitives", "--gamma", "0.25",
+                          "--target", str(data / "target_basic.txt")]}
     runs = {}
     for seed in ("1", "2"):
         cwd = tmp_path / seed
         cwd.mkdir()
-        for command, extra in commands.items():
-            done = python(["-m", "glyphorder.cli", command, *extra, "--c0", "12",
-                           "--out", command], cwd, PYTHONHASHSEED=seed)
+        for name, argv in commands.items():
+            done = python(["-m", "glyphorder.cli", *argv, "--c0", "12",
+                           "--out", name], cwd, PYTHONHASHSEED=seed)
             assert done.returncode == 0, done.stderr
             files = {p.relative_to(cwd).as_posix(): p.read_bytes()
-                     for p in sorted((cwd / command).iterdir())}
+                     for p in sorted((cwd / name).iterdir())}
             runs.setdefault(seed, []).append((done.stdout, files))
     assert runs["1"] == runs["2"]
-    assert [len(files) for _, files in runs["1"]] == [5, 6, 9]
+    assert [len(files) for _, files in runs["1"]] == [5, 6, 9, 5]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])

@@ -5,7 +5,7 @@ import pytest
 from glyphorder.costmodel import CostParams, centralities, cost
 from glyphorder.ingest import FrequencyTable
 from glyphorder.metrics import curve
-from glyphorder.network import GlyphKind
+from glyphorder.network import GlyphKind, GlyphNode, build_network
 from glyphorder.ordering import priority_topo_sort, target_pool, validate_topological
 from glyphorder.words import DEFAULT_TOP_K, WordNetworkConfig, expand_with_words
 
@@ -34,6 +34,20 @@ def test_unresolvable_words_reported_and_dropped(mini_net, mini_word_freq):
     # Single-character tokens pass through silently, in or out of the net.
     assert "山" not in dropped and "山" not in net
     assert "的" in net and net.node("的").kind is GlyphKind.COMPOUND
+
+
+def test_drop_reason_names_a_multi_code_point_id():
+    accented = "e\u0301"
+    net = build_network([GlyphNode("口", GlyphKind.PRIMITIVE_CHARACTER, (), 3),
+                         GlyphNode(accented, GlyphKind.PRIMITIVE_CHARACTER, (), 2)])
+    freq = FrequencyTable.from_counts({"口" + accented: 5, "口日": 4, accented: 3})
+    _, _, report = expand_with_words(net, freq, WordNetworkConfig())
+    assert report == [
+        ("口" + accented, "contains multi-code-point id %s; words are split into "
+                          "single code points" % accented),
+        ("口日", "unknown character 日"),
+        (accented, "id already present in the network"),
+    ]
 
 
 def test_top_k_cuts_by_frequency_rank(mini_word_freq):
