@@ -6,6 +6,9 @@ possible: sweeping from the low-centrality end, any component found to
 the right of a glyph that contains it is pulled to the glyph's left, as
 far left as its own centrality allows. High-centrality compounds
 therefore stay early, dragging just their components in front of them.
+For a ranking whose etas never rise, that result is built directly,
+each component placed once, in front of the highest-ranked container
+that outranks it.
 
 Also here: a pure-frequency baseline (not hierarchal in general), a
 first-in-first-out Kahn baseline (hierarchal but centrality-blind), an
@@ -113,27 +116,29 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
     """Sort the selection into a hierarchal order with minimal disturbance.
 
     The initial list is the selection plus all closure members, ranked by
-    descending centrality. The list is then swept from its low-centrality
-    end. For the glyph under the cursor, closure members are checked in
-    closure order; each member found to the glyph's right is removed and
-    re-inserted to its left, directly right of the rightmost item whose
-    eta is at least the member's own (at the very front when no such item
-    exists). Equal-eta placement therefore lands right of its equals.
+    descending centrality. The list is then repaired by the sweep that
+    `_repair` transcribes: from the low-centrality end, each closure
+    member found to the right of the glyph under the cursor is pulled to
+    its left, directly right of the rightmost item whose eta is at least
+    the member's own (at the very front when no such item exists), and
+    the cursor resumes just left of the glyph's final place. Equal-eta
+    placement therefore lands right of its equals. Items that are never
+    repositioned keep their relative ranking, and an already-hierarchal
+    list passes through unchanged.
 
-    The sweep resumes just left of the glyph's final place, so anything
-    that landed left of it, including the members just moved, is examined
-    in turn. Items that are never repositioned keep their relative
-    ranking, and an already-hierarchal list passes through unchanged.
-
-    Items of eta 0 and positive cost (zero-frequency components; *lazy*
-    here) are placed directly instead of swept, with the same result:
+    When the ranking is eta-monotone, the sweep's result is built
+    directly instead (`_place`): each item goes once into the block of
+    its owner, the highest-ranked item above it whose closure contains
+    it. Items of eta 0 and positive cost (zero-frequency components;
+    *lazy* here) are left out of that and placed afterwards, with the
+    same result as sweeping them:
 
     - A lazy member's walk stops at once, so the lazy items a glyph pulls
       form one block directly left of it. The cursor drains that block
       before it reaches any other item, and inside it lazy items only
       pull each other.
     - A lazy item never stops the walk of a positive eta, so the other
-      items move exactly as in a sweep of them alone (`_repair`).
+      items move exactly as in a sweep of them alone.
     - Each lazy item ends in the block of its last puller, its *owner*:
       its leftmost non-lazy container, direct or not, in that sweep's
       result. A block ends in depth-first postorder from its owner:
@@ -146,8 +151,9 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
 
     This needs the lazy items to be the ranking's tail and every other
     eta to be positive. A zero-cost item of zero frequency ranks first
-    with eta 0 and breaks the block argument: in a pool that holds one,
-    nothing is lazy and the whole ranking is swept.
+    with eta 0, so a pool that ranks one ahead of a positive eta is not
+    eta-monotone: there nothing is lazy and the whole ranking takes the
+    sweep itself.
     """
     pool = expand_selection(net, select)
     ranked = table.ranked(pool)
@@ -155,12 +161,14 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
     cut = len(ranked)
     while cut and eta[ranked[cut - 1]] == 0:
         cut -= 1
+    repair = _place
     if not all(eta[glyph] > 0 for glyph in ranked[:cut]):
         cut = len(ranked)
+        repair = _repair
     lazy = set(ranked[cut:])
 
     order: list[str] = []
-    for owner in _repair(net, ranked[:cut], eta):
+    for owner in repair(net, ranked[:cut], eta):
         # Postorder from the owner through the lazy items no owner to
         # its left has claimed, the owner itself last.
         stack = [(owner, iter(net.node(owner).components))]
@@ -174,9 +182,70 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
             else:
                 stack.pop()
                 order.append(glyph)
-    order += _repair(net, [glyph for glyph in ranked[cut:] if glyph in lazy], eta)
+    order += repair(net, [glyph for glyph in ranked[cut:] if glyph in lazy], eta)
     return LearningOrder(items=_make_items(table, order),
                          provenance=Provenance.OPTIMIZED)
+
+
+def _place(net: DecompositionNetwork, ranked: list[str],
+           eta: dict[str, float]) -> list[str]:
+    """`_repair`'s result for an eta-monotone `ranked`, built directly.
+
+    An item's *owner* is the highest-ranked item of the list that ranks
+    above it and whose closure contains it. An item with no owner keeps
+    its rank. Each owner's *block* sits directly left of it: the items it
+    owns, in the order its closure lists them, stable-sorted by eta
+    descending, and then arranged by the same rule as a list of its own.
+
+    Why this is the sweep's result: a pulled member lands right of every
+    item of equal or higher eta left of the cursor, so an item with no
+    owner, which never moves, has only items of equal or higher eta to
+    its left when the cursor reaches it. All of its closure members
+    ranked below it then lie to its right, and it pulls every one of
+    them, wherever earlier pulls put them, into a block directly left of
+    itself: in closure order, equal etas in pull order. Nothing in the
+    closure of a block member is left right of the block, so the
+    cursor's pass over the block is the sweep of the block alone. A
+    member that a higher-ranked container also holds is pulled again
+    when the cursor reaches that container, with all of its closure
+    below the container, and taking out such a closure-closed set leaves
+    the order of the rest as it was. So each item ends in the block of
+    its last puller, its owner.
+
+    Owners come from one pass in rank order in which the first claim on
+    an item wins; an owned item claims nothing, since its owner already
+    claimed all of its closure below it. Blocks are arranged from an
+    explicit stack, so nesting depth is not bounded by Python's recursion
+    limit. The cost is closure scans times nesting depth: each unowned
+    item's closure is scanned once per level of blocks that holds it,
+    with no walks and no moves.
+    """
+    closure = net.closure
+    order: list[str] = []
+    # Lists still to arrange, and ids whose blocks are already in `order`.
+    stack: list[list[str] | str] = [ranked]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            order.append(top)
+            continue
+        # Ids of the list that rank below the scan and are not yet claimed.
+        below = set(top)
+        placed = []
+        for glyph in top:
+            if glyph not in below:
+                continue
+            below.remove(glyph)
+            members = closure(glyph)
+            owned = below.intersection(members)
+            below -= owned
+            placed.append((glyph, [m for m in members if m in owned] if owned else None))
+        for glyph, block in reversed(placed):
+            stack.append(glyph)
+            if block:
+                block.sort(key=eta.__getitem__, reverse=True)
+                stack.append(block)
+    return order
 
 
 def _repair(net: DecompositionNetwork, ranked: list[str],
@@ -184,18 +253,19 @@ def _repair(net: DecompositionNetwork, ranked: list[str],
     """The repair sweep of `priority_topo_sort` over `ranked` alone;
     closure members outside it are left where they are.
 
+    Only rankings that are not eta-monotone take this path: zero-cost
+    items of zero frequency rank first with eta 0, ahead of positive
+    etas. `_place` builds the same result for every other ranking.
+
     The list is doubly linked by glyph id and keeps no positions. Every
     move lands left of the cursor and the cursor only walks left, so the
     items right of the cursor are exactly those it has passed and that
     have not moved since (`swept`). A move unlinks the member and walks
-    left from the cursor past items of lower eta. The ranking is in
-    descending eta order and insertions keep the part left of the cursor
-    so, which leaves only members just placed for the same glyph to walk
-    past: the walk is at most one closure wide. Zero-cost items of zero
-    frequency rank first with eta 0, out of that order, and can lengthen
-    it. Each cursor visit scans one closure and a moved member is visited
-    again, so the sweep makes len(ranked) + moves visits, each costing
-    one closure scan plus one walk per move.
+    left from the cursor past items of lower eta. Each cursor visit scans
+    one closure and a moved member is visited again, so the sweep makes
+    len(ranked) + moves visits, each costing one closure scan plus one
+    walk per move; a shared component is moved again by every container
+    that ranks above it.
     """
     # None is the sentinel joining both ends of a circular list.
     ring = [None, *ranked]

@@ -35,11 +35,12 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
     """Add word nodes for the `top_k` most frequent words.
 
     Multi-character words among the top_k become nodes with their
-    characters, split into single code points, as components; a word
-    whose character is missing from the base network is dropped and
-    listed in the report as (word, reason). The reason names a
-    multi-code-point id of the network that the word contains, since no
-    split can reach it, else the first missing character.
+    characters, split into single code points, as components. A word is
+    dropped and listed in the report as (word, reason) when it contains
+    a multi-code-point id of the network, which no split can reach (the
+    split would build the word from other glyphs, or from none), or else
+    when one of its characters is missing from the base network; the
+    reason names that id or the first missing character.
     Single-character tokens add no nodes. The returned frequency table is
     the word table itself, untouched: normalization stays over the whole
     corpus, and any standalone frequency applies whatever its rank.
@@ -48,8 +49,12 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
     report: list[tuple[str, str]] = []
     nodes = list(net.nodes())
     # Ids such as a base letter plus a combining mark, which a word split
-    # into code points can never name.
-    multi = [glyph for glyph in net.ids() if len(glyph) > 1]
+    # into code points can never name, by first code point, each with
+    # its place in the network's order.
+    multi: dict[str, list[tuple[int, str]]] = {}
+    for k, glyph in enumerate([glyph for glyph in net.ids() if len(glyph) > 1]):
+        multi.setdefault(glyph[0], []).append((k, glyph))
+    clear_of_multi = multi.keys().isdisjoint
     for token in ranked[:cfg.top_k]:
         chars = tuple(token)
         if len(chars) < 2:
@@ -57,14 +62,16 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
         if token in net:
             report.append((token, "id already present in the network"))
             continue
-        missing = [ch for ch in chars if ch not in net]
-        if missing:
-            spanning = [glyph for glyph in multi if glyph in token]
+        if not clear_of_multi(chars):
+            spanning = [entry for at, ch in enumerate(chars) for entry in multi.get(ch, ())
+                        if token.startswith(entry[1], at)]
             if spanning:
                 report.append((token, "contains multi-code-point id %s; words are "
-                                      "split into single code points" % spanning[0]))
-            else:
-                report.append((token, "unknown character %s" % missing[0]))
+                                      "split into single code points" % min(spanning)[1]))
+                continue
+        missing = [ch for ch in chars if ch not in net]
+        if missing:
+            report.append((token, "unknown character %s" % missing[0]))
             continue
         nodes.append(GlyphNode(id=token, kind=GlyphKind.WORD, components=chars))
     return build_network(nodes), word_freq, report

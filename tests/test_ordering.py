@@ -10,7 +10,7 @@ from glyphorder.costmodel import (Centrality, CentralityTable, CostParams, benef
                                   centralities)
 from glyphorder.metrics import CostMode, curve
 from glyphorder.network import GlyphKind, GlyphNode, UnknownId, build_network
-from glyphorder.ordering import (Provenance, TooLarge, Violation,
+from glyphorder.ordering import (Provenance, TooLarge, Violation, _place, _repair,
                                  brute_force_best_order, expand_selection, external_order,
                                  kahn_order, priority_topo_sort, pure_frequency_order,
                                  serialize_order_csv, validate_topological)
@@ -185,6 +185,59 @@ def test_deep_zero_frequency_chain():
     table = table_from_counts(net, {"W": 5, "p": 3})
     out = priority_topo_sort(net, table, {"W"}).ids()
     assert out == ["p"] + [node.id for node in chain] + ["W"]
+
+
+def test_deep_chain_of_containers_ranked_above_their_components():
+    # 1,500 nested variants, each ranked above its own component: every
+    # block holds the next one, deeper than Python's recursion limit.
+    n = 1500
+    ids = ["v%d" % k for k in range(n)]
+    net = build_network([GlyphNode(ids[0], P, (), 1)] + [
+        GlyphNode(ids[k], GlyphKind.VARIANT, (ids[k - 1],), 1) for k in range(1, n)])
+    table = CentralityTable({glyph: Centrality(f=(k + 1) / n**2, c=1.0, eta=(k + 1) / n**2)
+                             for k, glyph in enumerate(ids)})
+    assert table.ranked() == ids[::-1]
+    assert priority_topo_sort(net, table, {ids[-1]}).ids() == ids
+
+
+def sweep_and_placement(net, table, select):
+    ranked = table.ranked(expand_selection(net, select))
+    eta = {glyph: table.eta(glyph) for glyph in ranked}
+    return _repair(net, ranked, eta), _place(net, ranked, eta)
+
+
+@pytest.mark.parametrize("distinct_eta", [True, False], ids=["distinct", "tied"])
+@pytest.mark.parametrize("whole", [True, False], ids=["whole", "subset"])
+def test_placement_matches_the_sweep_on_large_networks(distinct_eta, whole):
+    # Too large for the naive oracle, so the sweep itself is the reference.
+    rng = random.Random(9001 + 2 * distinct_eta + whole)
+    for _ in range(2):
+        net = random_network(rng, max_nodes=3000, sparse=rng.random() < 0.5)
+        while len(net) < 1000:
+            net = random_network(rng, max_nodes=3000, sparse=rng.random() < 0.5)
+        table = random_centralities(rng, net, distinct_eta=distinct_eta)
+        ids = list(net.ids())
+        select = set(ids) if whole else set(rng.sample(ids, rng.randint(1, len(ids) // 3)))
+        swept, placed = sweep_and_placement(net, table, select)
+        assert placed == swept
+
+
+def test_hub_under_many_containers_is_placed_once():
+    # The sweep pulls h left again for each of the 300 containers; the
+    # placement puts it once, in the block of the highest-ranked one.
+    k = 300
+    net = build_network([GlyphNode("h", P, (), 1)]
+                        + [GlyphNode("p%d" % i, P, (), 1) for i in range(k)]
+                        + [GlyphNode("C%d" % i, C, ("p%d" % i, "h"), 2) for i in range(k)])
+    etas = {"h": 1.0}
+    etas.update({"C%d" % i: 3.0 * k - i for i in range(k)})
+    etas.update({"p%d" % i: 2.0 * k - i for i in range(k)})
+    table = CentralityTable({g: Centrality(f=e / 10**4, c=1.0, eta=e / 10**4)
+                             for g, e in etas.items()})
+    expected = ["p0", "h", "C0"] + [g for i in range(1, k) for g in ("p%d" % i, "C%d" % i)]
+    swept, placed = sweep_and_placement(net, table, set(net.ids()))
+    assert placed == swept == expected
+    assert priority_topo_sort(net, table, set(net.ids())).ids() == expected
 
 
 def test_output_valid_and_permutation_random():

@@ -25,13 +25,16 @@ def python(argv, cwd, **env):
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    # The sweep, word expansion and cluster statistics group glyphs in
+    # The ordering, word expansion and cluster statistics group glyphs in
     # sets; set order varies with PYTHONHASHSEED, and none of it may reach
-    # an output. The bundled corpus has zero-frequency components in both
-    # modes, so both runs place some glyphs without sweeping them. The
-    # rote order is not hierarchal, so `compare` prices it in charge mode
-    # and reuses the optimized order's hierarchal curve. The rerun takes
-    # its known set from the glyph kinds, whose hash is that of their name.
+    # an output. Every run here places its ranking by owner rather than
+    # sweeping it: the rerun's target pool holds no known glyph of zero
+    # frequency. The bundled corpus has zero-frequency components in both
+    # modes, so both runs also place some glyphs in postorder in front of
+    # their owners. The rote order is not hierarchal, so `compare` prices
+    # it in charge mode and reuses the optimized order's hierarchal curve.
+    # The rerun takes its known set from the glyph kinds, whose hash is
+    # that of their name.
     data = ROOT / "src" / "glyphorder" / "data"
     commands = {"order": ["order"], "words": ["words"],
                 "compare": ["compare", str(data / "rote_order.txt"), "--include-optimized"],

@@ -50,6 +50,20 @@ def test_drop_reason_names_a_multi_code_point_id():
     ]
 
 
+def test_word_spelling_a_multi_code_point_id_from_its_parts_is_dropped():
+    # Every code point of 口é is an id, but é (e + U+0301) is an id too:
+    # a word built from 口, e and U+0301 would name three other glyphs.
+    accented = "e\u0301"
+    net = build_network([GlyphNode(g, GlyphKind.PRIMITIVE_CHARACTER, (), 1)
+                         for g in ("口", "e", "\u0301", accented)])
+    freq = FrequencyTable.from_counts({"口" + accented: 5, "口e": 4})
+    out, _, report = expand_with_words(net, freq, WordNetworkConfig())
+    assert "口" + accented not in out
+    assert out.node("口e").components == ("口", "e")
+    assert report == [("口" + accented, "contains multi-code-point id %s; words are "
+                                         "split into single code points" % accented)]
+
+
 def test_top_k_cuts_by_frequency_rank(mini_word_freq):
     assert DEFAULT_TOP_K == 10000
     with pytest.raises(ValueError):
