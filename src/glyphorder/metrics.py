@@ -26,7 +26,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,9 +90,12 @@ def _step_area(points: Sequence[tuple[float, float]], c0: float) -> float:
     corners, which brute force relies on to compare candidates.
     """
     area = 0.0
-    for k, (c, f) in enumerate(points, start=1):
-        right = points[k][0] if k < len(points) else c0
-        area += f * (right - c)
+    if points:
+        c, f = points[0]
+        for right, next_f in points[1:]:
+            area += f * (right - c)
+            c, f = right, next_f
+        area += f * (c0 - c)
     return area
 
 
@@ -142,22 +145,24 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
     counts: list[int] = []
     n_learned = 0
     learned: set[str] = set()
+    charge = mode is CostMode.CHARGE_UNLEARNED
+    closure = net.closure
 
-    for item in order:
-        eff_cost = item.cost
-        if mode is CostMode.CHARGE_UNLEARNED:
-            for member in net.closure(item.glyph):
+    for glyph, eff_cost, freq in order:
+        if charge:
+            for member in closure(glyph):
                 if member in learned:
                     continue
                 try:
                     eff_cost += charge_costs[member]
                 except KeyError:
                     raise MissingCost(member) from None
-        step = _next_corner(points, eff_cost, item.freq, c0)
+            # Nothing reads `learned` once an item is over budget.
+            learned.add(glyph)
+        step = _next_corner(points, eff_cost, freq, c0)
         if step is None:
             break
         corner, merge = step
-        learned.add(item.glyph)
         n_learned += 1
         if merge:
             points[-1] = corner
@@ -174,12 +179,19 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
 
 
 def at_horizon(cv: LearningCurve, h: float) -> tuple[int, float, float]:
-    """(n_learned, final, mean) of a stored curve at a smaller horizon.
+    """(n_learned, final, mean) of a stored curve at a smaller horizon,
+    0 < h <= cv.c0: the summary numbers of `truncate(cv, h)`."""
+    cut = truncate(cv, h)
+    return cut.n_learned, cut.final_efficiency, cut.mean_efficiency
 
-    Valid for 0 < h <= cv.c0: consumption is a prefix property, so
-    truncating the stored corners reproduces a fresh evaluation at h.
-    Corner costs increase strictly, so the kept corners are a prefix
-    found by bisection.
+
+def truncate(cv: LearningCurve, h: float) -> LearningCurve:
+    """The stored curve cut back to a smaller horizon h, 0 < h <= cv.c0.
+
+    Consumption is a prefix property, so keeping the corners with C <= h
+    and their counts reproduces a fresh evaluation at h: the result
+    equals `curve` evaluated at h. Corner costs increase strictly, so the
+    kept corners are a prefix found by bisection.
     """
     if h <= 0:
         raise NonPositiveHorizon("horizon must be positive, got %r" % (h,))
@@ -187,24 +199,13 @@ def at_horizon(cv: LearningCurve, h: float) -> tuple[int, float, float]:
         raise ValueError("horizon %g exceeds the curve's c0 %g" % (h, cv.c0))
     k = bisect_right(cv.points, h, key=lambda point: point[0])
     kept = cv.points[:k]
-    final = kept[-1][1] if kept else 0.0
-    return sum(cv.counts[:k]), final, _step_area(kept, h) / h
+    counts = cv.counts[:k]
+    return LearningCurve(points=kept, counts=counts, c0=h,
+                         final_efficiency=kept[-1][1] if kept else 0.0,
+                         mean_efficiency=_step_area(kept, h) / h, n_learned=sum(counts))
 
 
-def truncate(cv: LearningCurve, h: float) -> LearningCurve:
-    """The stored curve cut back to a smaller horizon h, 0 < h <= cv.c0.
-
-    Keeps the corners with C <= h and their counts; the summary numbers
-    come from `at_horizon`, so the result equals `curve` evaluated at h.
-    """
-    n, final, mean = at_horizon(cv, h)
-    k = bisect_right(cv.points, h, key=lambda point: point[0])
-    return LearningCurve(points=cv.points[:k], counts=cv.counts[:k], c0=h,
-                         final_efficiency=final, mean_efficiency=mean, n_learned=n)
-
-
-@dataclass(frozen=True)
-class ClusterRow:
+class ClusterRow(NamedTuple):
     """Prefix averages at prefix length n; None when nothing is defined."""
 
     n: int
@@ -232,43 +233,50 @@ def cluster_stats(net: DecompositionNetwork, order: LearningOrder | Sequence[str
     """
     ids = order.ids() if isinstance(order, LearningOrder) else list(order)
     limit = len(ids) if max_n is None else min(max_n, len(ids))
+    comps = net.components_of(ids)
     pos = {g: k for k, g in enumerate(ids)}
 
     # One pass in order. `last[comp]` is the latest position so far whose
     # item holds comp; it and the item at k are each other's nearest
     # holders of comp on that side, so both take the distance. A 0 marks
-    # an undefined distance (real ones are at least 1).
+    # an undefined distance (real ones are at least 1). A later item has
+    # not been seen yet, so the item at k starts with no d2.
     d1 = [0] * len(ids)
     d2 = [0] * len(ids)
     last: dict[str, int] = {}
-    for k, glyph in enumerate(ids):
-        for comp in set(net.node(glyph).components):
-            at = pos.get(comp)
-            if at is not None and at < k and (not d1[k] or k - at < d1[k]):
-                d1[k] = k - at
+    for k, components in enumerate(comps):
+        near1 = near2 = 0
+        for comp in components:
             at = last.get(comp)
             if at is not None:
+                if at == k:
+                    continue    # a repeated component, already counted
                 dist = k - at
-                if not d2[k] or dist < d2[k]:
-                    d2[k] = dist
+                if not near2 or dist < near2:
+                    near2 = dist
                 if not d2[at] or dist < d2[at]:
                     d2[at] = dist
             last[comp] = k
+            # An absent component reads as position k, a distance of 0.
+            dist = k - pos.get(comp, k)
+            if dist > 0 and (not near1 or dist < near1):
+                near1 = dist
+        d1[k] = near1
+        d2[k] = near2
 
     # Integer prefix sums, so each average is one correctly rounded division.
-    have1, sum1, have2, sum2 = (np.cumsum(column).tolist() for column in (
-        [d > 0 for d in d1], d1, [d > 0 for d in d2], d2))
-    rows = tuple(ClusterRow(n=n, avg_d1=s1 / h1 if h1 else None, avg_d2=s2 / h2 if h2 else None)
-                 for n, h1, s1, h2, s2 in zip(range(1, limit + 1), have1, sum1, have2, sum2))
+    d1, d2 = np.array(d1), np.array(d2)
+    have1, sum1, have2, sum2 = (np.cumsum(column).tolist()
+                                for column in (d1 > 0, d1, d2 > 0, d2))
+    new = tuple.__new__
+    rows = tuple([new(ClusterRow, (n, s1 / h1 if h1 else None, s2 / h2 if h2 else None))
+                  for n, h1, s1, h2, s2 in zip(range(1, limit + 1), have1, sum1, have2, sum2)])
     return ClusterStats(rows=rows)
 
 
 def serialize_curve_csv(cv: LearningCurve) -> str:
     """Curve CSV: cum_cost,cum_freq corner rows."""
-    lines = ["cum_cost,cum_freq"]
-    for c, f in cv.points:
-        lines.append("%.6f,%.9f" % (c, f))
-    return "\n".join(lines) + "\n"
+    return "".join(["cum_cost,cum_freq\n", *["%.6f,%.9f\n" % point for point in cv.points]])
 
 
 def _summary(cv: LearningCurve) -> dict[str, float]:
@@ -285,9 +293,8 @@ def curve_summary_json(cv: LearningCurve) -> str:
 
 def serialize_cluster_csv(stats: ClusterStats) -> str:
     """Cluster CSV: n,avg_d1,avg_d2 with blanks for undefined averages."""
-    lines = ["n,avg_d1,avg_d2"]
-    for row in stats.rows:
-        a1 = "%.3f" % row.avg_d1 if row.avg_d1 is not None else ""
-        a2 = "%.3f" % row.avg_d2 if row.avg_d2 is not None else ""
-        lines.append("%d,%s,%s" % (row.n, a1, a2))
-    return "\n".join(lines) + "\n"
+    return "".join(["n,avg_d1,avg_d2\n", *[
+        "%d,%.3f,%.3f\n" % row if row[1] is not None and row[2] is not None
+        else "%d,%s,%s\n" % (row[0], "" if row[1] is None else "%.3f" % row[1],
+                              "" if row[2] is None else "%.3f" % row[2])
+        for row in stats.rows]])

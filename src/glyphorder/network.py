@@ -134,41 +134,66 @@ class DecompositionNetwork:
         self.node(glyph)
         return self._containers.get(glyph, ())
 
+    def components_of(self, ids: Iterable[str]) -> list[tuple[str, ...]]:
+        """The direct components of each id, in order; raises UnknownId
+        for the first id absent from the network."""
+        nodes = self._nodes
+        try:
+            return [nodes[glyph].components for glyph in ids]
+        except KeyError as exc:
+            raise UnknownId(exc.args[0]) from None
+
     def closure(self, glyph: str) -> tuple[str, ...]:
         """Everything reachable from `glyph` through component edges.
 
         Deterministic depth-first preorder over the stored component
         order, each id kept at its first visit, `glyph` itself excluded.
+        The descent caches the closure of every node it finishes, so each
+        node's closure is built once, from its components' closures.
         """
-        cached = self._closure_cache.get(glyph)
+        cache = self._closure_cache
+        cached = cache.get(glyph)
         if cached is not None:
             return cached
-        out: list[str] = []
-        seen = {glyph}
-        stack = [iter(self.node(glyph).components)]
+        nodes = self._nodes
+        stack = [(glyph, iter(self.node(glyph).components))]
         while stack:
-            child = next(stack[-1], None)
-            if child is None:
+            node, children = stack[-1]
+            for child in children:
+                if child not in cache:
+                    stack.append((child, iter(nodes[child].components)))
+                    break
+            else:
                 stack.pop()
-                continue
-            if child in seen:
-                continue
-            seen.add(child)
-            out.append(child)
-            sub = self._closure_cache.get(child)
-            if sub is not None:
-                # A finished closure is a complete preorder of the child's
-                # subtree, so splicing its unseen members preserves the
-                # order a direct descent would produce.
-                for member in sub:
-                    if member not in seen:
-                        seen.add(member)
-                        out.append(member)
-                continue
-            stack.append(iter(self._nodes[child].components))
-        result = tuple(out)
-        self._closure_cache[glyph] = result
-        return result
+                cache[node] = _splice(nodes[node].components, cache)
+        return cache[glyph]
+
+
+def _splice(components: tuple[str, ...], cache: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """A node's closure from its components' cached closures.
+
+    A component's closure is the complete preorder of its subtree, so
+    each component followed by the unseen members of its closure is the
+    order a direct descent would produce.
+    """
+    if not components:
+        return ()
+    first = components[0]
+    head = (first,) + cache[first]
+    if len(components) == 1:
+        return head
+    out = list(head)
+    seen = set(head)
+    for child in components[1:]:
+        if child in seen:
+            continue
+        seen.add(child)
+        out.append(child)
+        for member in cache[child]:
+            if member not in seen:
+                seen.add(member)
+                out.append(member)
+    return tuple(out)
 
 
 def build_network(nodes: Iterable[GlyphNode]) -> DecompositionNetwork:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .costmodel import CentralityTable, benefit_ratio
 from .network import DecompositionNetwork, UnknownId
@@ -40,8 +40,7 @@ class Provenance(Enum):
     BRUTE_FORCE_OPTIMAL = "brute-force-optimal"
 
 
-@dataclass(frozen=True)
-class OrderItem:
+class OrderItem(NamedTuple):
     """One scheduled glyph with its learning cost and frequency share."""
 
     glyph: str
@@ -96,13 +95,13 @@ def target_pool(net: DecompositionNetwork, items: Sequence[str]) -> tuple[set[st
 
 def _make_items(table: CentralityTable, ids: Sequence[str]) -> tuple[OrderItem, ...]:
     entries = table.entries
-    items = []
-    for glyph in ids:
-        entry = entries.get(glyph)
-        if entry is None:
-            raise UnknownId(glyph)
-        items.append(OrderItem(glyph, entry.c, entry.f))
-    return tuple(items)
+    # tuple.__new__ builds each item without a Python-level __new__ call.
+    new = tuple.__new__
+    try:
+        return tuple([new(OrderItem, (glyph, (entry := entries[glyph]).c, entry.f))
+                      for glyph in ids])
+    except KeyError as exc:
+        raise UnknownId(exc.args[0]) from None
 
 
 def external_order(table: CentralityTable, ids: Sequence[str],
@@ -307,7 +306,8 @@ def pure_frequency_order(table: CentralityTable, select: Iterable[str]) -> Learn
     fall to the end automatically. The caller chooses whether `select`
     includes closure members; `expand_selection` builds that pool.
     """
-    ids = sorted(select, key=lambda g: (-table[g].f, g))
+    entries = table.entries
+    ids = sorted(select, key=lambda g: (-entries[g].f, g))
     return LearningOrder(items=_make_items(table, ids),
                          provenance=Provenance.PURE_FREQUENCY)
 
@@ -349,17 +349,21 @@ def validate_topological(net: DecompositionNetwork,
     direct components in place puts full closures in place.
     """
     ids = order.ids() if isinstance(order, LearningOrder) else list(order)
-    pos: dict[str, int] = {}
-    for k, glyph in enumerate(ids):
-        net.node(glyph)
-        pos[glyph] = k
+    comps = net.components_of(ids)
+    pos = {glyph: k for k, glyph in enumerate(ids)}
+    # An id absent from the order reads as position n, after every item.
+    n = len(ids)
     out = []
-    for k, glyph in enumerate(ids):
-        seen: set[str] = set()
-        for comp in net.node(glyph).components:
-            if comp in seen:
-                continue
-            seen.add(comp)
+    for k, components in enumerate(comps):
+        for comp in components:
+            if pos.get(comp, n) > k:
+                break
+        else:
+            continue
+        # Rare: this item has a violation. Report each distinct component
+        # once, in stored order.
+        glyph = ids[k]
+        for comp in dict.fromkeys(components):
             at = pos.get(comp)
             if at is None:
                 out.append(Violation(compound=glyph, component=comp, missing=True))

@@ -6,9 +6,10 @@ transcription of the repair sweep that re-scans the list instead of
 maintaining positions, a permutation-filter enumerator of topological
 orders, a brute-force search that scores each candidate with `curve`,
 clustering statistics from per-component position lists searched by
-bisection, the decomposition parser, network builder and centralities
-as they stood before their per-node overhead was cut, and random
-network/centrality generators with fixed seeds.
+bisection, the decomposition parser, network builder, centralities and
+hierarchy check as they stood before their per-node overhead was cut,
+an uncached closure descent, and random network/centrality generators
+with fixed seeds.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from glyphorder.ingest import (FrequencyTable, ParseError, _integer, _lines,
 from glyphorder.metrics import ClusterRow, ClusterStats, curve
 from glyphorder.network import (CycleDetected, DanglingReference, DecompositionNetwork,
                                 DuplicateId, GlyphKind, GlyphNode, InvalidNode, build_network)
-from glyphorder.ordering import (LearningOrder, Provenance, TooLarge, _make_items,
+from glyphorder.ordering import (LearningOrder, Provenance, TooLarge, Violation, _make_items,
                                  expand_selection, external_order)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "glyphorder" / "data"
@@ -454,3 +455,45 @@ def oracle_centralities(net: DecompositionNetwork, freq: FrequencyTable,
         c = _oracle_cost(node, params)
         entries[node.id] = Centrality(f=f, c=c, eta=benefit_ratio(f, c))
     return CentralityTable(entries=entries)
+
+
+def oracle_validate_topological(net: DecompositionNetwork,
+                                order: LearningOrder | Sequence[str]) -> list[Violation]:
+    """Every id looked up first (UnknownId for the first absent one), then
+    each item's distinct direct components in stored order: missing from
+    the order, or placed after the item (at an id's last position)."""
+    ids = order.ids() if isinstance(order, LearningOrder) else list(order)
+    pos: dict[str, int] = {}
+    for k, glyph in enumerate(ids):
+        net.node(glyph)
+        pos[glyph] = k
+    out = []
+    for k, glyph in enumerate(ids):
+        seen: set[str] = set()
+        for comp in net.node(glyph).components:
+            if comp in seen:
+                continue
+            seen.add(comp)
+            at = pos.get(comp)
+            if at is None:
+                out.append(Violation(compound=glyph, component=comp, missing=True))
+            elif at > k:
+                out.append(Violation(compound=glyph, component=comp))
+    return out
+
+
+def oracle_closure(net: DecompositionNetwork, glyph: str) -> tuple[str, ...]:
+    """Depth-first preorder from `glyph` over stored component order, each
+    id at its first visit, without any cache."""
+    out: list[str] = []
+    seen = {glyph}
+    stack = [iter(net.node(glyph).components)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif child not in seen:
+            seen.add(child)
+            out.append(child)
+            stack.append(iter(net.node(child).components))
+    return tuple(out)

@@ -11,7 +11,7 @@ from glyphorder.costmodel import Centrality, CentralityTable
 from glyphorder.metrics import (CostMode, MissingCost, NonPositiveHorizon, NotTopological,
                                 at_horizon, cluster_stats, curve, curve_summary_json,
                                 serialize_cluster_csv, serialize_curve_csv, truncate)
-from glyphorder.network import GlyphKind, GlyphNode, build_network
+from glyphorder.network import GlyphKind, GlyphNode, UnknownId, build_network
 from glyphorder.ordering import (external_order, kahn_order, priority_topo_sort,
                                  pure_frequency_order)
 
@@ -268,6 +268,20 @@ def test_cluster_distance_to_nearest_preceding_component():
     assert [r.avg_d1 for r in stats.rows] == [None, None, 2.0, pytest.approx(1.5)]
 
 
+def test_cluster_unknown_id_raises_unknown_id():
+    net = build_network([GlyphNode("A", P, (), 1), GlyphNode("X", GlyphKind.VARIANT, ("A",), 2)])
+    with pytest.raises(UnknownId, match="^Z$"):
+        cluster_stats(net, ["X", "A", "Z", "W"])
+
+
+def test_cluster_row_is_immutable_with_named_fields():
+    net = build_network([GlyphNode("A", P, (), 1), GlyphNode("X", GlyphKind.VARIANT, ("A",), 2)])
+    row = cluster_stats(net, ["A", "X"]).rows[1]
+    assert (row.n, row.avg_d1, row.avg_d2) == (2, 1.0, None)
+    with pytest.raises(AttributeError):
+        row.avg_d1 = 2.0
+
+
 def test_cluster_all_primitives_undefined():
     net = build_network([GlyphNode(g, P, (), 1) for g in "abc"])
     stats = cluster_stats(net, ["a", "b", "c"])
@@ -342,3 +356,11 @@ def test_cluster_serializer_blanks_undefined():
     ])
     text = serialize_cluster_csv(cluster_stats(net, ["A", "X"]))
     assert text == "n,avg_d1,avg_d2\n1,,\n2,1.000,\n"
+    # X and Y share A, and only X has A before it.
+    net = build_network([
+        GlyphNode("A", P, (), 1),
+        GlyphNode("X", GlyphKind.VARIANT, ("A",), 2),
+        GlyphNode("Y", GlyphKind.VARIANT, ("A",), 2),
+    ])
+    text = serialize_cluster_csv(cluster_stats(net, ["Y", "A", "X"]))
+    assert text == "n,avg_d1,avg_d2\n1,,2.000\n2,,2.000\n3,1.000,2.000\n"

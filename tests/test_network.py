@@ -8,7 +8,7 @@ from glyphorder.metrics import cluster_stats
 from glyphorder.network import (CycleDetected, DanglingReference, DuplicateId, GlyphKind,
                                 GlyphNode, InvalidNode, UnknownId, build_network)
 
-from conftest import random_network
+from conftest import oracle_closure, random_network
 
 P = GlyphKind.PRIMITIVE_CHARACTER
 PC = GlyphKind.PRIMITIVE_COMPONENT
@@ -127,6 +127,8 @@ def test_unknown_id_lookups():
     for call in (net.node, net.closure, net.containers):
         with pytest.raises(UnknownId):
             call("nope")
+    with pytest.raises(UnknownId, match="^nope$"):
+        net.components_of(["A", "nope", "other"])
 
 
 def test_sharers_fig1_empty():
@@ -180,13 +182,15 @@ def test_closure_properties_random():
 
 
 def test_closure_cache_consistency_random():
-    # Top-down queries run the direct depth-first walk; bottom-up queries
-    # splice cached child closures. Same answers required either way.
+    # Top-down queries cache every closure the descent finishes on the
+    # way; bottom-up and random-order queries splice closures cached by
+    # earlier ones. Each must equal the uncached depth-first descent.
     rng = random.Random(99)
     for _ in range(20):
         net = random_network(rng, max_nodes=20)
-        fresh = build_network(list(net.nodes()))
         ids = list(net.ids())
-        top_down = {g: net.closure(g) for g in reversed(ids)}
-        bottom_up = {g: fresh.closure(g) for g in ids}
-        assert top_down == bottom_up
+        expected = {g: oracle_closure(net, g) for g in ids}
+        shuffled = rng.sample(ids, len(ids))
+        for queries in (ids[::-1], ids, shuffled):
+            fresh = build_network(list(net.nodes()))
+            assert {g: fresh.closure(g) for g in queries} == expected

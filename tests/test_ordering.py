@@ -16,8 +16,8 @@ from glyphorder.ordering import (Provenance, TooLarge, Violation, _place, _repai
                                  serialize_order_csv, validate_topological)
 
 from conftest import (enumerate_topological, oracle_brute_force, oracle_sweep,
-                      oracle_sweep_from, random_centralities, random_network,
-                      table_from_counts)
+                      oracle_sweep_from, oracle_validate_topological, random_centralities,
+                      random_network, table_from_counts)
 
 P = GlyphKind.PRIMITIVE_CHARACTER
 C = GlyphKind.COMPOUND
@@ -384,6 +384,43 @@ def test_validate_dedupes_repeated_components():
         GlyphNode("品", C, ("口", "口", "口"), 9),
     ])
     assert validate_topological(net, ["品", "口"]) == [Violation("品", "口")]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["sweep", "shuffled", "partial", "repeated"]),
+       as_order=st.booleans())
+def test_validate_matches_frozen_check(seed, shape, as_order):
+    # Repeated components come from the generator; "partial" leaves
+    # components out of the order, "repeated" holds duplicate ids.
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=40, sparse=rng.random() < 0.3)
+    ids = list(net.ids())
+    if shape == "sweep":
+        order = priority_topo_sort(net, random_centralities(rng, net), ids).ids()
+    elif shape == "shuffled":
+        order = rng.sample(ids, len(ids))
+    elif shape == "partial":
+        order = rng.sample(ids, rng.randint(0, len(ids)))
+    else:
+        order = [rng.choice(ids) for _ in range(rng.randint(0, 2 * len(ids)))]
+    if as_order:
+        order = external_order(random_centralities(rng, net), order)
+    assert validate_topological(net, order) == oracle_validate_topological(net, order)
+
+
+def test_validate_unknown_id_raises_unknown_id():
+    net = small_net()
+    # The first absent id is named, whatever the violations around it.
+    with pytest.raises(UnknownId, match="^夕$"):
+        validate_topological(net, ["的", "夕", "白", "勺", "多"])
+
+
+def test_order_item_is_immutable_with_named_fields():
+    item = external_order(small_table(), ["白"]).items[0]
+    assert (item.glyph, item.cost, item.freq) == ("白", 1.5, 0.3)
+    with pytest.raises(AttributeError):
+        item.cost = 2.0
 
 
 def test_brute_force_single_node_and_too_large():
