@@ -162,7 +162,7 @@ def cmd_order(args) -> int:
 def cmd_compare(args) -> int:
     net, freq, table, dropped = _load_pipeline(args)
     pool, _ = _selection(net, args)
-    cost_lookup = {glyph: table[glyph].c for glyph in net.ids()}
+    cost_lookup = {glyph: c for glyph, (f, c, eta) in table.entries.items()}
 
     # Labels name the output files and comparison rows, so a repeated
     # label skips its order, as an unreadable file does.

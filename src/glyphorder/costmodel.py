@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .ingest import FrequencyTable
 from .network import DecompositionNetwork, GlyphKind, GlyphNode
@@ -75,8 +75,7 @@ def cost(node: GlyphNode, params: CostParams) -> float:
     return base * params.suppression.get(node.id, 1.0)
 
 
-@dataclass(frozen=True, slots=True)
-class Centrality:
+class Centrality(NamedTuple):
     """Frequency share, cost, and their ratio for one node."""
 
     f: float
@@ -106,10 +105,10 @@ class CentralityTable:
         eta descending, frequency descending, id ascending. The id
         tiebreak makes the ranking a total order, hence reproducible.
         """
-        entry = self.entries[glyph]
-        if entry.c == 0.0:
-            return (0, -entry.f, 0.0, glyph)
-        return (1, -entry.eta, -entry.f, glyph)
+        f, c, eta = self.entries[glyph]
+        if c == 0.0:
+            return (0, -f, 0.0, glyph)
+        return (1, -eta, -f, glyph)
 
     def ranked(self, ids: Iterable[str] | None = None) -> list[str]:
         """Ids sorted by descending centrality (all entries by default)."""
@@ -126,11 +125,35 @@ def benefit_ratio(f: float, c: float) -> float:
 
 def centralities(net: DecompositionNetwork, freq: FrequencyTable,
                  params: CostParams) -> CentralityTable:
-    """Compute f, c, and eta for every node of the network."""
+    """Compute f, c, and eta for every node of the network.
+
+    `cost` and `benefit_ratio`, inlined: the same operations on the same
+    values, without two calls and the parameter lookups per node.
+    """
     shares = freq.entries
+    known = params.known
+    gamma = params.gamma
+    variant_cost = params.variant_cost
+    suppression = params.suppression
+    variant = _VARIANT
+    inf = math.inf
+    new = tuple.__new__
     entries = {}
-    for node in net.nodes():
-        f = shares.get(node.id, 0.0)
-        c = cost(node, params)
-        entries[node.id] = Centrality(f, c, benefit_ratio(f, c))
+    for glyph, kind, components, strokes in net.nodes():
+        f = shares.get(glyph, 0.0)
+        if glyph in known:
+            c = 0.0
+        else:
+            if kind.is_primitive:
+                c = round(1.0 + gamma * strokes, 12)
+            elif kind is variant:
+                c = variant_cost
+            else:
+                c = float(len(components) - 1)
+            c *= suppression.get(glyph, 1.0)
+        if c == 0.0:
+            eta = inf if f > 0.0 else 0.0
+        else:
+            eta = f / c
+        entries[glyph] = new(Centrality, (f, c, eta))
     return CentralityTable(entries=entries)

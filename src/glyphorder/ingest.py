@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .network import GlyphKind, GlyphNode
 
@@ -54,14 +55,14 @@ def _strip_bom(text: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _lines(text: str) -> list[tuple[int, str]]:
-    """Numbered content lines, comments and blanks dropped."""
-    out = []
-    for lineno, raw in enumerate(_strip_bom(text).split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if line and line[0] != "#":
-            out.append((lineno, line))
-    return out
+def _split_lines(text: str) -> list[str]:
+    """Every line of the text, without the mark or trailing CRs. Line k
+    is at index k - 1; parsers skip the empty lines and those starting
+    with `#`."""
+    lines = _strip_bom(text).split("\n")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    return lines
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,10 @@ class FrequencyTable:
 
     @classmethod
     def from_counts(cls, counts: dict[str, int]) -> "FrequencyTable":
-        if not counts:
-            raise EmptyTable("no frequency records")
-        total = 0
         for token, count in counts.items():
             if count <= 0:
                 raise ParseError("count for %s must be positive" % token)
-            total += count
-        entries = {token: count / total for token, count in counts.items()}
-        return cls(entries=entries, raw=dict(counts), total_raw=total)
+        return _normalized(dict(counts))
 
     def get(self, glyph: str) -> float:
         """Frequency share of `glyph`; 0 when absent (never a corpus token)."""
@@ -95,6 +91,15 @@ class FrequencyTable:
         return len(self.entries)
 
 
+def _normalized(counts: dict[str, int]) -> FrequencyTable:
+    """The table of `counts`, all of them positive, which it keeps."""
+    if not counts:
+        raise EmptyTable("no frequency records")
+    total = sum(counts.values())
+    entries = {token: count / total for token, count in counts.items()}
+    return FrequencyTable(entries=entries, raw=counts, total_raw=total)
+
+
 def _check_new(seen, token: str, lineno: int, what: str) -> None:
     """Reject a token already in `seen` (the tokens of earlier lines)."""
     if token in seen:
@@ -104,8 +109,8 @@ def _check_new(seen, token: str, lineno: int, what: str) -> None:
 def _integer(field: str, lineno: int, what: str) -> int:
     """An optionally negative run of ASCII digits. `int` alone would also
     take a leading +, underscores, surrounding spaces and other scripts'
-    digits. The str tests are a fast path for the usual unsigned field."""
-    if field.isdigit() and field.isascii() or _INTEGER.fullmatch(field):
+    digits."""
+    if _INTEGER.fullmatch(field):
         return int(field)
     raise ParseError("line %d: non-integer %s %r" % (lineno, what, field))
 
@@ -123,55 +128,108 @@ def _check_spelling(token: str, lineno: int, what: str) -> None:
 def _items(text: str, what: str) -> list[str]:
     """One stripped item per line; duplicates rejected."""
     items: dict[str, None] = {}
-    for lineno, line in _lines(text):
-        item = line.strip()
-        _check_new(items, item, lineno, what)
-        items[item] = None
+    for lineno, line in enumerate(_split_lines(text), start=1):
+        if line and line[0] != "#":
+            item = line.strip()
+            _check_new(items, item, lineno, what)
+            items[item] = None
     return list(items)
 
 
 def parse_decompositions(text: str) -> list[GlyphNode]:
-    """Parse decomposition records into nodes, in file order."""
+    """Parse decomposition records into nodes, in file order.
+
+    A record passes the tests inline when its four fields hold a known
+    kind, ASCII digits and an id that is not empty or "-" and holds no
+    whitespace or comma (`str.split` splits at exactly the characters
+    that `_SPACE` matches); `_decomposition_record` checks the others.
+    """
+    kinds = _FILE_KINDS
+    new = tuple.__new__
     nodes = []
-    for lineno, line in _lines(text):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError("line %d: expected 4 tab-separated fields, got %d" % (lineno, len(fields)))
-        glyph, kind_code, comps_field, strokes_field = fields
-        kind = _FILE_KINDS.get(kind_code)
-        if kind is None:
-            raise ParseError("line %d: unknown kind %r" % (lineno, kind_code))
+    append = nodes.append
+    for lineno, line in enumerate(_split_lines(text), start=1):
+        if not line or line[0] == "#":
+            continue
+        try:
+            glyph, kind_code, comps_field, strokes_field = line.split("\t")
+        except ValueError:
+            append(_decomposition_record(lineno, line))
+            continue
+        kind = kinds.get(kind_code)
+        if (kind is None or not (strokes_field.isdigit() and strokes_field.isascii())
+                or glyph.split() != [glyph] or glyph == "-" or "," in glyph):
+            append(_decomposition_record(lineno, line))
+            continue
         components = () if comps_field == "-" else tuple(comps_field.split())
-        strokes = _integer(strokes_field, lineno, "strokes")
-        if strokes < 0:
-            raise ParseError("line %d: negative strokes" % lineno)
-        # An id must be writable in a components field.
-        _check_spelling(glyph, lineno, "glyph id")
-        if glyph == "-":
-            raise ParseError("line %d: glyph id - is the empty-components marker" % lineno)
-        # The order CSV separates its fields by commas and does not quote.
-        if "," in glyph:
-            raise ParseError("line %d: glyph id %r contains a comma" % (lineno, glyph))
-        nodes.append(GlyphNode(glyph, kind, components, strokes))
+        append(new(GlyphNode, (glyph, kind, components, int(strokes_field))))
     return nodes
 
 
+def _decomposition_record(lineno: int, line: str) -> GlyphNode:
+    """The node of a record that failed `parse_decompositions`' inline
+    tests: each check in turn, the first to fail raising. A stroke count
+    such as "-0" fails those tests and passes these."""
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise ParseError("line %d: expected 4 tab-separated fields, got %d" % (lineno, len(fields)))
+    glyph, kind_code, comps_field, strokes_field = fields
+    kind = _FILE_KINDS.get(kind_code)
+    if kind is None:
+        raise ParseError("line %d: unknown kind %r" % (lineno, kind_code))
+    components = () if comps_field == "-" else tuple(comps_field.split())
+    strokes = _integer(strokes_field, lineno, "strokes")
+    if strokes < 0:
+        raise ParseError("line %d: negative strokes" % lineno)
+    # An id must be writable in a components field.
+    _check_spelling(glyph, lineno, "glyph id")
+    if glyph == "-":
+        raise ParseError("line %d: glyph id - is the empty-components marker" % lineno)
+    # The order CSV separates its fields by commas and does not quote.
+    if "," in glyph:
+        raise ParseError("line %d: glyph id %r contains a comma" % (lineno, glyph))
+    return GlyphNode(glyph, kind, components, strokes)
+
+
 def parse_frequencies(text: str) -> FrequencyTable:
-    """Parse `token<TAB>count` lines and normalize to shares of the total."""
+    """Parse `token<TAB>count` lines and normalize to shares of the total.
+
+    A record passes the tests inline when its token is new, not empty
+    and free of whitespace and its count is ASCII digits other than
+    zeros; `_frequency_error` names the first failure of the others.
+    """
     counts: dict[str, int] = {}
-    for lineno, line in _lines(text):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError("line %d: expected 2 tab-separated fields, got %d" % (lineno, len(fields)))
-        token, count_field = fields
-        # A token no id can match would still dilute every share.
-        _check_spelling(token, lineno, "token")
-        _check_new(counts, token, lineno, "token")
-        count = _integer(count_field, lineno, "count")
-        if count <= 0:
-            raise ParseError("line %d: count must be positive" % lineno)
-        counts[token] = count
-    return FrequencyTable.from_counts(counts)
+    for lineno, line in enumerate(_split_lines(text), start=1):
+        if not line or line[0] == "#":
+            continue
+        try:
+            token, count_field = line.split("\t")
+        except ValueError:
+            _frequency_error(lineno, line, counts)
+        if (count_field.isdigit() and count_field.isascii() and token.split() == [token]
+                and token not in counts):
+            count = int(count_field)
+            if count:
+                counts[token] = count
+                continue
+        _frequency_error(lineno, line, counts)
+    return _normalized(counts)
+
+
+def _frequency_error(lineno: int, line: str, counts: dict[str, int]) -> NoReturn:
+    """Raise the first error of a frequency record that failed
+    `parse_frequencies`' inline tests; `counts` holds the earlier ones."""
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise ParseError("line %d: expected 2 tab-separated fields, got %d" % (lineno, len(fields)))
+    token, count_field = fields
+    # A token no id can match would still dilute every share.
+    _check_spelling(token, lineno, "token")
+    _check_new(counts, token, lineno, "token")
+    if _integer(count_field, lineno, "count") <= 0:
+        raise ParseError("line %d: count must be positive" % lineno)
+    # The inline tests and these checks reject the same records.
+    raise AssertionError("line %d passed every frequency check" % lineno)
 
 
 def parse_order(text: str) -> list[str]:
@@ -181,7 +239,8 @@ def parse_order(text: str) -> list[str]:
 
 def parse_order_csv(text: str) -> list[str]:
     """Extract the glyph sequence from an order CSV written by this package."""
-    rows = _lines(text)
+    rows = [(lineno, line) for lineno, line in enumerate(_split_lines(text), start=1)
+            if line and line[0] != "#"]
     if not rows or not rows[0][1].startswith(_ORDER_CSV_HEADER):
         raise ParseError("not an order CSV (missing rank,glyph header)")
     glyphs: dict[str, None] = {}

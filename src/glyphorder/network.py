@@ -6,14 +6,23 @@ direct components; the network validates that every reference resolves,
 that node shapes match their kinds, and that the graph is acyclic.
 Closure queries (everything reachable through component edges) drive the
 ordering and metrics modules.
+
+Two pieces of work are done only when they can matter. Following edges
+around a cycle must at some point reach a node listed later than the one
+it leaves (listing order cannot fall all the way round), so the
+depth-first cycle check runs only when some node names a component
+listed after it: a file that lists components before their containers
+is acyclic by its order alone. And the index of each glyph's containers
+is built on the first `containers` call; the CLI's commands never make
+one.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class NetworkError(Exception):
@@ -58,24 +67,23 @@ class GlyphKind(Enum):
     WORD = "w"
 
     def __init__(self, code: str):
-        # Plain attributes, set once per member: the cost model and the
-        # shape check read them for every node.
+        # Plain attributes, set once per member: the cost model reads
+        # them for every node.
         self.code = code
         self.is_primitive = code in ("p", "pc")
 
 
-_VARIANT = GlyphKind.VARIANT
-_COMPOUND = GlyphKind.COMPOUND
 _WORD = GlyphKind.WORD
 
 
-@dataclass(frozen=True, slots=True)
-class GlyphNode:
+class GlyphNode(NamedTuple):
     """One glyph: identity, kind, direct components, stroke count.
 
     Components are ordered and may repeat (品 stores 口 three times);
     multiplicity matters for costs, not for reachability. `strokes` is 0
     when unavailable, which the cost model maps to a cost of exactly 1.
+    Hot loops unpack the tuple or index it, which is cheaper than
+    reading its fields by name.
     """
 
     id: str
@@ -84,27 +92,37 @@ class GlyphNode:
     strokes: int = 0
 
 
+# The number of components each kind allows, as (fewest, most, and the
+# message for a node outside that range).
+_SHAPES = {
+    GlyphKind.PRIMITIVE_CHARACTER: (0, 0, "{id}: primitive with components"),
+    GlyphKind.PRIMITIVE_COMPONENT: (0, 0, "{id}: primitive with components"),
+    GlyphKind.VARIANT: (1, 1, "{id}: variant must have exactly one component, got {n}"),
+    GlyphKind.COMPOUND: (2, sys.maxsize, "{id}: compound needs at least two components, got {n}"),
+    _WORD: (2, sys.maxsize, "{id}: word needs at least two characters, got {n}"),
+}
+
+
 def _check_shape(node: GlyphNode) -> None:
-    n = len(node.components)
-    if not node.id:
+    glyph, kind, components, strokes = node
+    if not glyph:
         raise InvalidNode("empty glyph id")
-    if node.strokes < 0:
-        raise InvalidNode("%s: negative stroke count" % node.id)
-    kind = node.kind
-    if kind.is_primitive and n != 0:
-        raise InvalidNode("%s: primitive with components" % node.id)
-    if kind is _VARIANT and n != 1:
-        raise InvalidNode("%s: variant must have exactly one component, got %d" % (node.id, n))
-    if kind is _COMPOUND and n < 2:
-        raise InvalidNode("%s: compound needs at least two components, got %d" % (node.id, n))
-    if kind is _WORD and n < 2:
-        raise InvalidNode("%s: word needs at least two characters, got %d" % (node.id, n))
+    if strokes < 0:
+        raise InvalidNode("%s: negative stroke count" % glyph)
+    low, high, message = _SHAPES[kind]
+    if not low <= len(components) <= high:
+        raise InvalidNode(message.format(id=glyph, n=len(components)))
 
 
 class DecompositionNetwork:
-    """Validated, immutable decomposition DAG. Build via `build_network`."""
+    """Validated, immutable decomposition DAG. Build via `build_network`.
 
-    def __init__(self, nodes: dict[str, GlyphNode], containers: dict[str, tuple[str, ...]]):
+    `containers` is the index `containers()` reads; when it is None, the
+    first call builds it from the nodes.
+    """
+
+    def __init__(self, nodes: dict[str, GlyphNode],
+                 containers: dict[str, tuple[str, ...]] | None = None):
         self._nodes = nodes
         self._containers = containers
         self._closure_cache: dict[str, tuple[str, ...]] = {}
@@ -132,6 +150,8 @@ class DecompositionNetwork:
     def containers(self, glyph: str) -> tuple[str, ...]:
         """Nodes that list `glyph` as a direct component, in input order."""
         self.node(glyph)
+        if self._containers is None:
+            self._containers = _container_index(self._nodes)
         return self._containers.get(glyph, ())
 
     def components_of(self, ids: Iterable[str]) -> list[tuple[str, ...]]:
@@ -139,7 +159,7 @@ class DecompositionNetwork:
         for the first id absent from the network."""
         nodes = self._nodes
         try:
-            return [nodes[glyph].components for glyph in ids]
+            return [nodes[glyph][2] for glyph in ids]
         except KeyError as exc:
             raise UnknownId(exc.args[0]) from None
 
@@ -156,16 +176,17 @@ class DecompositionNetwork:
         if cached is not None:
             return cached
         nodes = self._nodes
-        stack = [(glyph, iter(self.node(glyph).components))]
+        # Index 2 of a node is its components.
+        stack = [(glyph, iter(self.node(glyph)[2]))]
         while stack:
             node, children = stack[-1]
             for child in children:
                 if child not in cache:
-                    stack.append((child, iter(nodes[child].components)))
+                    stack.append((child, iter(nodes[child][2])))
                     break
             else:
                 stack.pop()
-                cache[node] = _splice(nodes[node].components, cache)
+                cache[node] = _splice(nodes[node][2], cache)
         return cache[glyph]
 
 
@@ -196,8 +217,13 @@ def _splice(components: tuple[str, ...], cache: dict[str, tuple[str, ...]]) -> t
     return tuple(out)
 
 
-def build_network(nodes: Iterable[GlyphNode]) -> DecompositionNetwork:
+def build_network(nodes: Iterable[GlyphNode],
+                  base: DecompositionNetwork | None = None) -> DecompositionNetwork:
     """Validate nodes and assemble the network.
+
+    With a `base` network, the result holds its nodes followed by
+    `nodes`, and only `nodes` are checked: the base is valid already and
+    none of its nodes can list a new one, so its closures carry over.
 
     Raises:
         DuplicateId: two nodes share an id.
@@ -206,29 +232,62 @@ def build_network(nodes: Iterable[GlyphNode]) -> DecompositionNetwork:
         DanglingReference: a component id resolves to no node.
         CycleDetected: component graph not acyclic; carries a witness.
     """
-    by_id: dict[str, GlyphNode] = {}
-    for node in nodes:
-        _check_shape(node)
-        if node.id in by_id:
-            raise DuplicateId(node.id)
-        by_id[node.id] = node
+    by_id = {} if base is None else dict(base._nodes)
+    if _add_nodes(by_id, nodes):
+        _check_acyclic(by_id)
+    net = DecompositionNetwork(by_id)
+    if base is not None:
+        net._closure_cache.update(base._closure_cache)
+    return net
 
-    containers: defaultdict[str, list[str]] = defaultdict(list)
-    for glyph, node in by_id.items():
-        comps = node.components
+
+def _add_nodes(by_id: dict[str, GlyphNode], nodes: Iterable[GlyphNode]) -> bool:
+    """Check `nodes` and add them to `by_id` in order; returns whether one
+    of them names a component listed after it (a *forward edge*).
+
+    The errors are those of checking every node's shape and id first,
+    then every component of every node in order. A node whose components
+    all came before it, none of them a word, has no component error, so
+    only the others are looked at again once all nodes are in.
+    """
+    shapes = _SHAPES
+    word = _WORD
+    get = by_id.get
+    # Nodes naming a word or a component not listed before them.
+    suspects = []
+    for node in nodes:
+        glyph, kind, comps, strokes = node
+        low, high, _ = shapes[kind]
+        if not low <= len(comps) <= high or not glyph or strokes < 0:
+            _check_shape(node)
+        if glyph in by_id:
+            raise DuplicateId(glyph)
         for comp in comps:
-            target = by_id.get(comp)
+            target = get(comp)
+            if target is None or target[1] is word:
+                suspects.append(node)
+                break
+        by_id[glyph] = node
+    for glyph, _, comps, _ in suspects:
+        for comp in comps:
+            target = get(comp)
             if target is None:
                 raise DanglingReference("%s: unresolved component %s" % (glyph, comp))
-            if target.kind is _WORD:
+            if target[1] is word:
                 raise InvalidNode("%s: word %s used as component" % (glyph, comp))
+    # Every suspect left names a component listed after it.
+    return bool(suspects)
+
+
+def _container_index(nodes: dict[str, GlyphNode]) -> dict[str, tuple[str, ...]]:
+    """Each glyph's containers, in input order."""
+    containers: defaultdict[str, list[str]] = defaultdict(list)
+    for glyph, node in nodes.items():
+        comps = node[2]
         # A repeated component makes one edge, not two.
         for comp in dict.fromkeys(comps) if len(comps) > 1 else comps:
             containers[comp].append(glyph)
-
-    _check_acyclic(by_id)
-    frozen = {glyph: tuple(cs) for glyph, cs in containers.items()}
-    return DecompositionNetwork(by_id, frozen)
+    return {glyph: tuple(cs) for glyph, cs in containers.items()}
 
 
 def _check_acyclic(by_id: dict[str, GlyphNode]) -> None:

@@ -95,10 +95,11 @@ def target_pool(net: DecompositionNetwork, items: Sequence[str]) -> tuple[set[st
 
 def _make_items(table: CentralityTable, ids: Sequence[str]) -> tuple[OrderItem, ...]:
     entries = table.entries
-    # tuple.__new__ builds each item without a Python-level __new__ call.
+    # tuple.__new__ builds each item without a Python-level __new__ call,
+    # and an entry's index 1 is its cost, index 0 its frequency.
     new = tuple.__new__
     try:
-        return tuple([new(OrderItem, (glyph, (entry := entries[glyph]).c, entry.f))
+        return tuple([new(OrderItem, (glyph, (entry := entries[glyph])[1], entry[0]))
                       for glyph in ids])
     except KeyError as exc:
         raise UnknownId(exc.args[0]) from None

@@ -41,13 +41,15 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
     split would build the word from other glyphs, or from none), or else
     when one of its characters is missing from the base network; the
     reason names that id or the first missing character.
-    Single-character tokens add no nodes. The returned frequency table is
-    the word table itself, untouched: normalization stays over the whole
-    corpus, and any standalone frequency applies whatever its rank.
+    Single-character tokens add no nodes. Only the word nodes are
+    checked, since the base network is valid already. The returned
+    frequency table is the word table itself, untouched: normalization
+    stays over the whole corpus, and any standalone frequency applies
+    whatever its rank.
     """
     ranked = sorted(word_freq.raw, key=lambda w: (-word_freq.raw[w], w))
     report: list[tuple[str, str]] = []
-    nodes = list(net.nodes())
+    words = []
     # Ids such as a base letter plus a combining mark, which a word split
     # into code points can never name, by first code point, each with
     # its place in the network's order.
@@ -73,6 +75,6 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
         if missing:
             report.append((token, "unknown character %s" % missing[0]))
             continue
-        nodes.append(GlyphNode(id=token, kind=GlyphKind.WORD, components=chars))
-    return build_network(nodes), word_freq, report
+        words.append(GlyphNode(id=token, kind=GlyphKind.WORD, components=chars))
+    return build_network(words, base=net), word_freq, report
 

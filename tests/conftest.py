@@ -6,10 +6,11 @@ transcription of the repair sweep that re-scans the list instead of
 maintaining positions, a permutation-filter enumerator of topological
 orders, a brute-force search that scores each candidate with `curve`,
 clustering statistics from per-component position lists searched by
-bisection, the decomposition parser, network builder, centralities and
-hierarchy check as they stood before their per-node overhead was cut,
-an uncached closure descent, and random network/centrality generators
-with fixed seeds.
+bisection, the line reader, decomposition and frequency parsers, network
+builder (with its own container index and a cycle check over every
+network), centralities and hierarchy check as they stood before their
+per-node overhead was cut, an uncached closure descent, and random
+network/centrality generators with fixed seeds.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import pytest
 
 from glyphorder.costmodel import (Centrality, CentralityTable, CostParams, benefit_ratio,
                                   centralities)
-from glyphorder.ingest import (FrequencyTable, ParseError, _integer, _lines,
+from glyphorder.ingest import (DuplicateToken, EmptyTable, FrequencyTable, ParseError,
                                parse_decompositions, parse_frequencies)
 from glyphorder.metrics import ClusterRow, ClusterStats, curve
 from glyphorder.network import (CycleDetected, DanglingReference, DecompositionNetwork,
@@ -331,6 +332,51 @@ def _oracle_nearest(positions: Sequence[int], k: int) -> list[int]:
     return out
 
 
+def _oracle_lines(text: str) -> list[tuple[int, str]]:
+    """Numbered content lines: a leading byte-order mark and trailing CRs
+    dropped, then comment and blank lines."""
+    out = []
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if line and line[0] != "#":
+            out.append((lineno, line))
+    return out
+
+
+def _oracle_integer(field: str, lineno: int, what: str) -> int:
+    """An optionally negative run of ASCII digits."""
+    if re.fullmatch(r"-?[0-9]+", field):
+        return int(field)
+    raise ParseError("line %d: non-integer %s %r" % (lineno, what, field))
+
+
+def oracle_parse_frequencies(text: str) -> FrequencyTable:
+    """Frequency records, one check after another: field count, token
+    (empty, whitespace, seen before), count (integer, positive); then
+    the table of shares, or EmptyTable when there was no record."""
+    counts: dict[str, int] = {}
+    for lineno, line in _oracle_lines(text):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError("line %d: expected 2 tab-separated fields, got %d" % (lineno, len(fields)))
+        token, count_field = fields
+        if not token:
+            raise ParseError("line %d: empty token" % lineno)
+        if re.search(r"\s", token):
+            raise ParseError("line %d: token %r contains whitespace" % (lineno, token))
+        if token in counts:
+            raise DuplicateToken("line %d: duplicate token %s" % (lineno, token))
+        count = _oracle_integer(count_field, lineno, "count")
+        if count <= 0:
+            raise ParseError("line %d: count must be positive" % lineno)
+        counts[token] = count
+    if not counts:
+        raise EmptyTable("no frequency records")
+    total = sum(counts.values())
+    return FrequencyTable(entries={token: count / total for token, count in counts.items()},
+                          raw=counts, total_raw=total)
+
+
 _ORACLE_KIND_CODES = {"p", "pc", "c", "v"}
 _ORACLE_PRIMITIVES = (GlyphKind.PRIMITIVE_CHARACTER, GlyphKind.PRIMITIVE_COMPONENT)
 
@@ -340,7 +386,7 @@ def oracle_parse_decompositions(text: str) -> list[GlyphNode]:
     order: field count, kind, strokes, then the id (empty, the "-"
     marker, whitespace, comma)."""
     nodes = []
-    for lineno, line in _lines(text):
+    for lineno, line in _oracle_lines(text):
         fields = line.split("\t")
         if len(fields) != 4:
             raise ParseError("line %d: expected 4 tab-separated fields, got %d" % (lineno, len(fields)))
@@ -348,7 +394,7 @@ def oracle_parse_decompositions(text: str) -> list[GlyphNode]:
         if kind_code not in _ORACLE_KIND_CODES:
             raise ParseError("line %d: unknown kind %r" % (lineno, kind_code))
         components = () if comps_field == "-" else tuple(comps_field.split())
-        strokes = _integer(strokes_field, lineno, "strokes")
+        strokes = _oracle_integer(strokes_field, lineno, "strokes")
         if strokes < 0:
             raise ParseError("line %d: negative strokes" % lineno)
         if not glyph:
@@ -433,6 +479,36 @@ def _oracle_check_acyclic(by_id: dict[str, GlyphNode]) -> None:
             color[child] = GRAY
             path.append(child)
             stack.append(iter(by_id[child].components))
+
+
+def oracle_expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
+                             top_k: int) -> tuple[DecompositionNetwork, list[tuple[str, str]]]:
+    """Every base node and every kept word node through
+    `oracle_build_network`, and the drop report: a word is dropped for an
+    id it already is, for a multi-code-point id its text holds (the
+    smallest, by place in the network and then id), or for its first
+    character missing from the network."""
+    ranked = sorted(word_freq.raw, key=lambda w: (-word_freq.raw[w], w))
+    multi = [(k, glyph) for k, glyph in enumerate(g for g in net.ids() if len(g) > 1)]
+    nodes = list(net.nodes())
+    report = []
+    for token in ranked[:top_k]:
+        if len(token) < 2:
+            continue
+        if token in net:
+            report.append((token, "id already present in the network"))
+            continue
+        spanning = [(k, glyph) for k, glyph in multi if glyph in token]
+        if spanning:
+            report.append((token, "contains multi-code-point id %s; words are "
+                                  "split into single code points" % min(spanning)[1]))
+            continue
+        missing = [ch for ch in token if ch not in net]
+        if missing:
+            report.append((token, "unknown character %s" % missing[0]))
+            continue
+        nodes.append(GlyphNode(id=token, kind=GlyphKind.WORD, components=tuple(token)))
+    return oracle_build_network(nodes), report
 
 
 def _oracle_cost(node: GlyphNode, params: CostParams) -> float:

@@ -1,9 +1,9 @@
-"""Golden outputs: `compare` on the bundled corpus, checked byte for byte.
+"""Golden outputs: CLI runs on the bundled corpus, checked byte for byte.
 
-`golden/compare.json` holds, for each case below, the exit code and the
-sha256 of stdout (with the output directory written as OUT) and of every
-file the command writes. A change that alters any of them on purpose
-rewrites the manifest and names the changed entries:
+`golden/manifest.json` holds, for each case below, the exit code and the
+sha256 of stdout and stderr (with the output directory written as OUT)
+and of every file the command writes. A change that alters any of them
+on purpose rewrites the manifest and names the changed entries:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,22 +24,49 @@ from glyphorder.cli import DATA_ENV_VAR, main
 from conftest import DATA_DIR
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MANIFEST = GOLDEN / "compare.json"
+MANIFEST = GOLDEN / "manifest.json"
 
 KAHN = GOLDEN / "kahn_order.txt"            # plain, hierarchal
 OPTIMIZED_CSV = GOLDEN / "optimized_order.csv"
 ROTE = DATA_DIR / "rote_order.txt"          # plain, not hierarchal
+TARGET = DATA_DIR / "target_basic.txt"
 
 CASES = {
-    "plain": [KAHN],
-    "csv": [OPTIMIZED_CSV],
-    "non-hierarchal": [ROTE],
-    "include-optimized": [ROTE, "--include-optimized"],
-    "include-pure-frequency": [KAHN, "--include-pure-frequency"],
-    "two-c0": [KAHN, ROTE, "--include-optimized", "--include-pure-frequency",
+    "plain": ["compare", KAHN],
+    "csv": ["compare", OPTIMIZED_CSV],
+    "non-hierarchal": ["compare", ROTE],
+    "include-optimized": ["compare", ROTE, "--include-optimized"],
+    "include-pure-frequency": ["compare", KAHN, "--include-pure-frequency"],
+    "two-c0": ["compare", KAHN, ROTE, "--include-optimized", "--include-pure-frequency",
                "--c0", 12, "--c0", 40],
-    "one-small-c0": [ROTE, OPTIMIZED_CSV, "--c0", 7.5],
+    "one-small-c0": ["compare", ROTE, OPTIMIZED_CSV, "--c0", 7.5],
+    "order": ["order"],
+    "order-known-primitives": ["order", "--known", "all-primitives"],
+    "order-gamma": ["order", "--gamma", 0.25],
+    "order-target": ["order", "--target", TARGET],
+    "words": ["words"],
+    "validate-hierarchal": ["validate", KAHN],
+    "validate-rote": ["validate", ROTE],
 }
+
+# One error per ingest check: the bundled file with one line replaced
+# (or, with an empty old line, one line appended), run through `order`.
+# A decompositions file cannot declare a word, so the word case is a `w`
+# record that a compound names.
+BROKEN = {
+    "error-field-count": ("decompositions.tsv", "口\tp\t-\t3\n", "口\tp\t3\n"),
+    "error-unknown-kind": ("decompositions.tsv", "日\tp\t-\t4\n", "日\tq\t-\t4\n"),
+    "error-bad-strokes": ("decompositions.tsv", "日\tp\t-\t4\n", "日\tp\t-\t+4\n"),
+    "error-whitespace-id": ("decompositions.tsv", "日\tp\t-\t4\n", "日 \tp\t-\t4\n"),
+    "error-duplicate-id": ("decompositions.tsv", "日\tp\t-\t4\n", "口\tp\t-\t4\n"),
+    "error-dangling-component": ("decompositions.tsv", "品\tc\t口 口 口\t9\n",
+                                 "品\tc\t口 口 吅\t9\n"),
+    "error-word-as-component": ("decompositions.tsv", "",
+                                "明白\tw\t明 白\t0\n明白白\tc\t明白 白\t13\n"),
+    "error-zero-count": ("char_freq.tsv", "的\t9000\n", "的\t0\n"),
+    "error-cycle": ("decompositions.tsv", "口\tp\t-\t3\n", "口\tc\t品 日\t3\n"),
+}
+_FLAGS = {"decompositions.tsv": "--decompositions", "char_freq.tsv": "--frequencies"}
 
 
 def _sha(data: bytes) -> str:
@@ -47,20 +74,38 @@ def _sha(data: bytes) -> str:
 
 
 def run_case(argv, out: Path) -> dict:
-    """Exit code and hashes of one `compare` run into the empty `out`."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main(["compare", *map(str, argv), "--out", str(out)])
-    files = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
-    text = stdout.getvalue().replace(str(out), "OUT")
-    return {"exit": code, "stdout": _sha(text.encode("utf-8")), "files": files}
+    """Exit code and hashes of one CLI run into the empty `out`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*map(str, argv), "--out", str(out)])
+    files = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())} if out.exists() else {}
+
+    def digest(stream: io.StringIO) -> str:
+        return _sha(stream.getvalue().replace(str(out), "OUT").encode("utf-8"))
+
+    return {"exit": code, "stdout": digest(stdout), "stderr": digest(stderr), "files": files}
+
+
+def broken_input(root: Path, name: str, old: str, new: str) -> list:
+    """The flag and path of a copy of the bundled `name` with `old`
+    replaced by `new`, or `new` appended when `old` is empty."""
+    text = (DATA_DIR / name).read_text(encoding="utf-8")
+    assert not old or text.count(old) == 1, old
+    path = root / name
+    root.mkdir(parents=True)
+    path.write_text(text.replace(old, new) if old else text + new, encoding="utf-8")
+    return ["order", _FLAGS[name], path]
 
 
 def run_all(root: Path) -> dict:
-    return {name: run_case(argv, root / name) for name, argv in CASES.items()}
+    results = {name: run_case(argv, root / name) for name, argv in CASES.items()}
+    for name, edit in BROKEN.items():
+        argv = broken_input(root / "inputs" / name, *edit)
+        results[name] = run_case(argv, root / name)
+    return results
 
 
-def test_compare_outputs_match_the_golden_manifest(tmp_path, monkeypatch):
+def test_cli_outputs_match_the_golden_manifest(tmp_path, monkeypatch):
     monkeypatch.delenv(DATA_ENV_VAR, raising=False)
     expected = json.loads(MANIFEST.read_text(encoding="utf-8"))
     got = run_all(tmp_path)

@@ -14,7 +14,7 @@ from glyphorder.ingest import (DuplicateToken, EmptyTable, FrequencyTable, Parse
 from glyphorder.network import GlyphKind, NetworkError, build_network
 
 from conftest import (oracle_build_network, oracle_centralities, oracle_parse_decompositions,
-                      random_network)
+                      oracle_parse_frequencies, random_network)
 
 
 def test_parse_decomposition_records():
@@ -186,7 +186,7 @@ def _inject_faults(rng: random.Random, net) -> list[list[str]]:
         if "kind" in faults:
             row[1] = rng.choice(["q", "w", "P", "", "pcc"])
         if "strokes" in faults:
-            row[3] = rng.choice(["x", "+3", "-2", " 7", "\u0663", "", "1_0"])
+            row[3] = rng.choice(["x", "+3", "-2", "-0", " 7", "\u0663", "", "1_0"])
         if "id" in faults:
             row[0] = rng.choice(["", "-", "a b", "a\u3000b", "x\u00a0y", "a,b", " " + row[0]])
         if "fields" in faults and rng.random() < 0.5:
@@ -208,12 +208,13 @@ def _ingest_outcome(text, freq, params, parse, build, rank):
             [rank(net, freq, p).entries for p in params])
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_ingest_matches_frozen_oracles(seed):
+def _check_ingest_against_oracles(seed: int, shuffled: bool) -> None:
     rng = random.Random(seed)
     net = random_network(rng, max_nodes=rng.choice([3, 12, 25]))
     rows = _inject_faults(rng, net)
+    if shuffled:
+        # Containers before their components: forward references.
+        rng.shuffle(rows)
     lines = []
     for row in rows:
         lines.extend(rng.choice([[], [], [], ["# note"], [""]]))
@@ -235,3 +236,56 @@ def test_ingest_matches_frozen_oracles(seed):
                                oracle_build_network, oracle_centralities)
     assert _ingest_outcome(text, freq, params, parse_decompositions,
                            build_network, centralities) == expected
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ingest_matches_frozen_oracles(seed):
+    _check_ingest_against_oracles(seed, shuffled=False)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ingest_in_any_record_order_matches_frozen_oracles(seed):
+    _check_ingest_against_oracles(seed, shuffled=True)
+
+
+_TOKENS = ["口", "日", "的", "明白", "知道", "e\u0301", "a", "zz", "#x", "a,b", "-"]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_frequencies_match_frozen_oracle(seed):
+    """Each record has some chance of a bad field count, token or count
+    or a repeated token; comments, blank lines, CRLF and a byte-order mark
+    come and go."""
+    rng = random.Random(seed)
+    rows = [[token, str(rng.randint(1, 10**6))]
+            for token in rng.sample(_TOKENS, rng.randint(0, len(_TOKENS)))]
+    for row in rows:
+        if rng.random() < 0.02:
+            row.append(rng.choice(["1", ""]))
+        elif rng.random() < 0.02:
+            row.pop()
+        if rng.random() < 0.05:
+            row[0] = rng.choice(["", " ", "口 ", " 口", "a b", "口\u3000日", "\u00a0", "x\ty"])
+        if rng.random() < 0.05:
+            row[0] = rng.choice(rows)[0]
+        if len(row) > 1 and rng.random() < 0.1:
+            row[1] = rng.choice(["0", "00", "-0", "-5", "+5", "\u0663", "1_0", " 7", "7 ",
+                                 "", "x", "3.5", "0007", "\uff17"])
+    lines = []
+    for row in rows:
+        lines.extend(rng.choice([[], [], [], ["# note"], ["#"], [""], ["\r"]]))
+        lines.append("\t".join(row))
+    newline = rng.choice(["\n", "\n", "\r\n"])
+    text = rng.choice(["", "", "\ufeff"]) + newline.join(lines) + rng.choice(["", newline])
+
+    def outcome(parse):
+        try:
+            table = parse(text)
+        except ParseError as exc:
+            return type(exc), str(exc)
+        return table.entries, table.raw, table.total_raw
+
+    assert outcome(parse_frequencies) == outcome(oracle_parse_frequencies)

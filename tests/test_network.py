@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from glyphorder import network
+from glyphorder.ingest import parse_decompositions, parse_frequencies
 from glyphorder.metrics import cluster_stats
 from glyphorder.network import (CycleDetected, DanglingReference, DuplicateId, GlyphKind,
                                 GlyphNode, InvalidNode, UnknownId, build_network)
+from glyphorder.words import WordNetworkConfig, expand_with_words
 
-from conftest import oracle_closure, random_network
+from conftest import DATA_DIR, oracle_closure, random_network
 
 P = GlyphKind.PRIMITIVE_CHARACTER
 PC = GlyphKind.PRIMITIVE_COMPONENT
@@ -81,6 +84,62 @@ def test_self_loop_witness():
     with pytest.raises(CycleDetected) as err:
         build_network([GlyphNode("A", V, ("A",), 1)])
     assert err.value.cycle == ["A", "A"]
+
+
+def _watch_cycle_check(monkeypatch, calls: list) -> None:
+    """Record each run of the depth-first cycle check, which then runs."""
+    check = network._check_acyclic
+
+    def watched(by_id):
+        calls.append(list(by_id))
+        check(by_id)
+
+    monkeypatch.setattr(network, "_check_acyclic", watched)
+
+
+def test_components_first_file_skips_the_cycle_check(monkeypatch):
+    calls = []
+    _watch_cycle_check(monkeypatch, calls)
+    text = (DATA_DIR / "decompositions.tsv").read_text(encoding="utf-8")
+    net = build_network(parse_decompositions(text))
+    assert len(net) == 43 and calls == []
+    # Words name only earlier ids, so adding them is no reason either.
+    expand_with_words(net, parse_frequencies("明白\t3\n知道\t2\n"), WordNetworkConfig())
+    assert calls == []
+
+
+def test_one_forward_edge_runs_the_cycle_check(monkeypatch):
+    calls = []
+    _watch_cycle_check(monkeypatch, calls)
+    net = build_network(parse_decompositions("品\tc\t口 口 口\t9\n口\tp\t-\t3\n"))
+    assert net.closure("品") == ("口",) and calls == [["品", "口"]]
+    # 日 names 月, listed after it; 月 names 日 back.
+    text = "口\tp\t-\t3\n日\tc\t口 月\t4\n月\tc\t日 口\t4\n"
+    with pytest.raises(CycleDetected) as err:
+        build_network(parse_decompositions(text))
+    assert err.value.cycle == ["日", "月", "日"]
+    assert len(calls) == 2
+
+
+def test_extending_a_network_checks_the_new_nodes():
+    base = build_network(fig1_nodes())
+    base.closure("照")
+    word = GlyphNode("照明", W, ("照", "明"), 0)
+    with pytest.raises(DanglingReference, match="^照明: unresolved component 明$"):
+        build_network([word], base=base)
+    with pytest.raises(DuplicateId):
+        build_network([GlyphNode("口", P, (), 1)], base=base)
+    with pytest.raises(InvalidNode, match="word 日口 used as component"):
+        build_network([GlyphNode("日口", W, ("日", "口"), 0),
+                       GlyphNode("X", V, ("日口",), 1)], base=base)
+    grown = build_network([GlyphNode("日口", W, ("日", "口"), 0)], base=base)
+    whole = build_network(fig1_nodes() + [GlyphNode("日口", W, ("日", "口"), 0)])
+    assert list(grown.nodes()) == list(whole.nodes())
+    for glyph in whole.ids():
+        assert grown.closure(glyph) == whole.closure(glyph)
+        assert grown.containers(glyph) == whole.containers(glyph)
+    # The base network is unchanged.
+    assert "日口" not in base and base.containers("日") == ("昭",)
 
 
 def test_duplicate_id_rejected():

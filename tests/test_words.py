@@ -1,6 +1,10 @@
 """Word-network expansion and target-subset evaluation."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glyphorder.costmodel import CostParams, centralities, cost
 from glyphorder.ingest import FrequencyTable
@@ -8,6 +12,8 @@ from glyphorder.metrics import curve
 from glyphorder.network import GlyphKind, GlyphNode, build_network
 from glyphorder.ordering import priority_topo_sort, target_pool, validate_topological
 from glyphorder.words import DEFAULT_TOP_K, WordNetworkConfig, expand_with_words
+
+from conftest import oracle_expand_with_words, random_network
 
 
 def test_word_nodes_added_with_characters_as_components(mini_net, mini_word_freq):
@@ -62,6 +68,36 @@ def test_word_spelling_a_multi_code_point_id_from_its_parts_is_dropped():
     assert out.node("口e").components == ("口", "e")
     assert report == [("口" + accented, "contains multi-code-point id %s; words are "
                                          "split into single code points" % accented)]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_expansion_matches_frozen_oracle(seed):
+    rng = random.Random(seed)
+    base = random_network(rng, max_nodes=rng.choice([5, 15, 30]))
+    # Single code points as ids, and e with a combining acute, whose
+    # parts are ids or not.
+    rename = {glyph: chr(0x4E00 + k) for k, glyph in enumerate(base.ids())}
+    nodes = [GlyphNode(rename[n.id], n.kind, tuple(rename[c] for c in n.components), n.strokes)
+             for n in base.nodes()]
+    extra = ["e", "\u0301", "e\u0301"]
+    nodes += [GlyphNode(glyph, GlyphKind.PRIMITIVE_CHARACTER, (), 1)
+              for glyph in rng.sample(extra, rng.randint(0, 3))]
+    net = build_network(nodes)
+    for glyph in rng.sample(list(net.ids()), rng.randint(0, len(net))):
+        net.closure(glyph)
+    alphabet = list(net.ids()) + extra + ["山", "水"]
+    counts = {"".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4))): rng.randint(1, 9)
+              for _ in range(rng.randint(1, 30))}
+    top_k = rng.randint(1, len(counts) + 2)
+    got, _, report = expand_with_words(net, FrequencyTable.from_counts(counts),
+                                       WordNetworkConfig(top_k=top_k))
+    want, want_report = oracle_expand_with_words(net, FrequencyTable.from_counts(counts), top_k)
+    assert report == want_report
+    assert list(got.nodes()) == list(want.nodes())
+    for glyph in want.ids():
+        assert got.closure(glyph) == want.closure(glyph)
+        assert got.containers(glyph) == want.containers(glyph)
 
 
 def test_top_k_cuts_by_frequency_rank(mini_word_freq):
