@@ -207,8 +207,11 @@ def cmd_compare(args) -> int:
             hier = None
         # A hierarchal order learns every closure member before its
         # container, so charging unlearned members adds nothing to it.
+        # Every tag written thus holds the same curves: serialize once.
         charge = hier if hier is not None else _horizon_curves(
             net, order, args.c0, CostMode.CHARGE_UNLEARNED, cost_lookup)
+        widest = charge[max(charge)]
+        curve_csv, curve_json = serialize_curve_csv(widest), curve_summary_json(widest)
         for mode, tag, curves in ((CostMode.HIERARCHAL, "hier", hier),
                                   (CostMode.CHARGE_UNLEARNED, "charge", charge)):
             if curves is None:
@@ -218,9 +221,8 @@ def cmd_compare(args) -> int:
                 r = _summary(cv)
                 rows.append("%s,%s,%g,%d,%.3f,%.3f" % (
                     label, mode.value, h, r["n_learned"], r["lambda_f"], r["lambda_avg"]))
-            widest = curves[max(curves)]
-            _write(out / ("%s_%s_curve.csv" % (label, tag)), serialize_curve_csv(widest))
-            _write(out / ("%s_%s_curve.json" % (label, tag)), curve_summary_json(widest))
+            _write(out / ("%s_%s_curve.csv" % (label, tag)), curve_csv)
+            _write(out / ("%s_%s_curve.json" % (label, tag)), curve_json)
         _write(out / ("%s_cluster.csv" % label), serialize_cluster_csv(cluster_stats(net, order)))
     _write(out / "comparison.csv", "\n".join(rows) + "\n")
     return 0 if evaluated else 1

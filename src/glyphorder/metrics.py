@@ -87,7 +87,7 @@ def _step_area(points: Sequence[tuple[float, float]], c0: float) -> float:
     Each corner contributes F times the width up to the next corner (or
     c0), and the contributions are added in floats, left to right. That
     fixed order keeps every caller's score bit-identical for the same
-    corners, which brute force relies on to compare candidates.
+    corners.
     """
     area = 0.0
     if points:
@@ -97,22 +97,6 @@ def _step_area(points: Sequence[tuple[float, float]], c0: float) -> float:
             c, f = right, next_f
         area += f * (c0 - c)
     return area
-
-
-def _next_corner(points: Sequence[tuple[float, float]], cost: float, freq: float,
-                 c0: float) -> tuple[tuple[float, float], bool] | None:
-    """The corner one more item settles, and whether it replaces the last.
-
-    The running sums are the last corner, (0, 0) before the first. An
-    item whose cost would take them past `c0` is over budget and gives
-    None. An item that leaves the running cost where it was (zero cost)
-    merges into the last corner.
-    """
-    cum_cost, cum_freq = points[-1] if points else (0.0, 0.0)
-    if cum_cost + cost > c0:
-        return None
-    corner = (cum_cost + cost, cum_freq + freq)
-    return corner, bool(points) and cum_cost == corner[0]
 
 
 def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
@@ -143,6 +127,7 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
 
     points: list[tuple[float, float]] = []
     counts: list[int] = []
+    cum_cost = cum_freq = 0.0
     n_learned = 0
     learned: set[str] = set()
     charge = mode is CostMode.CHARGE_UNLEARNED
@@ -159,17 +144,22 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
                     raise MissingCost(member) from None
             # Nothing reads `learned` once an item is over budget.
             learned.add(glyph)
-        step = _next_corner(points, eff_cost, freq, c0)
-        if step is None:
+        # The running sums are the last corner, (0, 0) before the first.
+        # An item that would take them past c0 is over budget; one that
+        # leaves the running cost where it was (a zero cost, or one lost
+        # to float rounding) merges into the last corner.
+        step = cum_cost + eff_cost
+        if step > c0:
             break
-        corner, merge = step
+        cum_freq += freq
         n_learned += 1
-        if merge:
-            points[-1] = corner
+        if points and step == cum_cost:
+            points[-1] = (step, cum_freq)
             counts[-1] += 1
         else:
-            points.append(corner)
+            points.append((step, cum_freq))
             counts.append(1)
+        cum_cost = step
 
     final = points[-1][1] if points else 0.0
     mean = _step_area(points, c0) / c0

@@ -385,95 +385,90 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     time; refuses more than `limit` nodes.
 
     The search places an item only after its components, so every order
-    it builds is hierarchal, and it carries the prefix's curve corners
-    along instead of building and validating each candidate. Each item
-    is paid by `curve`'s own rule in the same floating-point operations,
-    and a candidate is scored from its corners by `curve`'s own area sum,
-    so every score is bit-for-bit the one `curve` gives for that order.
+    it builds is hierarchal. Instead of building and validating each
+    candidate, each level carries the prefix's curve in three floats:
+    the area under it up to its last corner, and that corner (C, F),
+    (0, 0) before the first, whose zero-height segment adds exactly 0.0
+    to the area. An item is over budget when C plus its cost exceeds
+    `c0`; one that leaves C where it was merges into the last corner. A
+    complete or cut prefix scores (area + F (c0 - C)) / c0. These are
+    `curve`'s float operations in `curve`'s order, so every score is
+    bit-for-bit the one `curve` gives for that order.
 
     Once an item is over budget, nothing after it counts: every
     completion of that prefix scores the same, so the subtree collapses
     to its lexicographically first completion, built only when its score
-    beats the best so far.
+    beats the best so far. Every over-budget child of one node scores
+    that same prefix, and the best score never falls and is only
+    replaced by a strictly higher one, so only the first such child can
+    win and only it is scored.
     """
-    # Local import; metrics depends on this module for LearningOrder.
-    from .metrics import _next_corner, _step_area
-
     pool = expand_selection(net, select)
     if len(pool) > limit:
         raise TooLarge("%d nodes exceed the brute-force limit of %d" % (len(pool), limit))
     if c0 <= 0:
         raise ValueError("c0 must be positive")
 
+    # Nodes are their indices in id order, so index order is lexicographic.
     ids = sorted(pool)
-    cost = {g: table[g].c for g in ids}
-    freq = {g: table[g].f for g in ids}
-    blocked = {g: len(set(net.node(g).components) & pool) for g in ids}
-    parents = {g: sorted(set(net.containers(g)) & pool) for g in ids}
+    n = len(ids)
+    index = {g: k for k, g in enumerate(ids)}
+    costs = [table[g].c for g in ids]
+    freqs = [table[g].f for g in ids]
+    parents = [[index[p] for p in sorted(set(net.containers(g)) & pool)] for g in ids]
+    # Components not yet placed; a placed node reads 1, so 0 means ready.
+    blocked = [len(set(net.node(g).components) & pool) for g in ids]
 
     best_score: tuple[float, float] | None = None
-    best_ids: list[str] = []
-    prefix: list[str] = []
-    placed: set[str] = set()
+    best: list[int] = []
+    prefix: list[int] = []
 
-    def place(glyph: str) -> None:
-        placed.add(glyph)
-        prefix.append(glyph)
-        for parent in parents[glyph]:
-            blocked[parent] -= 1
-
-    def unplace(glyph: str) -> None:
-        for parent in parents[glyph]:
-            blocked[parent] += 1
-        prefix.pop()
-        placed.discard(glyph)
-
-    def lex_first_completion() -> list[str]:
-        # Lexicographically first valid completion: repeatedly take the
-        # smallest available node.
-        extra_blocked = dict(blocked)
-        avail = sorted(g for g in ids if g not in placed and extra_blocked[g] == 0)
-        tail = []
-        while avail:
-            glyph = avail.pop(0)
-            tail.append(glyph)
-            for parent in parents[glyph]:
-                extra_blocked[parent] -= 1
-                if extra_blocked[parent] == 0:
-                    avail.append(parent)
-                    avail.sort()
+    def completion(k: int) -> list[int]:
+        # The prefix, k, then repeatedly the smallest ready node.
+        left = blocked[:]
+        tail = [k]
+        for j in tail:
+            left[j] = 1
+            for parent in parents[j]:
+                left[parent] -= 1
+            if 0 in left:
+                tail.append(left.index(0))
         return prefix + tail
 
-    def beats(points: tuple[tuple[float, float], ...]) -> tuple[float, float] | None:
-        # The candidate's (mean, final) score when it beats the best so far.
-        score = (_step_area(points, c0) / c0, points[-1][1] if points else 0.0)
-        return score if best_score is None or score > best_score else None
-
-    def recurse(points: tuple[tuple[float, float], ...]) -> None:
-        nonlocal best_score, best_ids
-        if len(prefix) == len(ids):
-            score = beats(points)
-            if score is not None:
-                best_score, best_ids = score, list(prefix)
+    def search(area: float, c: float, f: float) -> None:
+        nonlocal best_score, best
+        if len(prefix) == n:
+            score = ((area + f * (c0 - c)) / c0, f)
+            if best_score is None or score > best_score:
+                best_score, best = score, prefix[:]
             return
-        for glyph in ids:
-            if glyph in placed or blocked[glyph] > 0:
+        unscored = True
+        for k in range(n):
+            if blocked[k]:
                 continue
-            step = _next_corner(points, cost[glyph], freq[glyph], c0)
-            if step is None:
-                score = beats(points)
-                if score is not None:
-                    place(glyph)
-                    best_score, best_ids = score, lex_first_completion()
-                    unplace(glyph)
+            step = c + costs[k]
+            if step > c0:
+                if unscored:
+                    unscored = False
+                    score = ((area + f * (c0 - c)) / c0, f)
+                    if best_score is None or score > best_score:
+                        best_score, best = score, completion(k)
                 continue
-            corner, merge = step
-            place(glyph)
-            recurse(points[:-1] + (corner,) if merge else points + (corner,))
-            unplace(glyph)
+            blocked[k] = 1
+            prefix.append(k)
+            for parent in parents[k]:
+                blocked[parent] -= 1
+            if step == c:
+                search(area, c, f + freqs[k])
+            else:
+                search(area + f * (step - c), step, f + freqs[k])
+            for parent in parents[k]:
+                blocked[parent] += 1
+            prefix.pop()
+            blocked[k] = 0
 
-    recurse(())
-    return LearningOrder(items=_make_items(table, best_ids),
+    search(0.0, 0.0, 0.0)
+    return LearningOrder(items=_make_items(table, [ids[k] for k in best]),
                          provenance=Provenance.BRUTE_FORCE_OPTIMAL)
 
 

@@ -590,23 +590,96 @@ def test_brute_force_matches_per_candidate_oracle(instance):
         assert won_score >= (cv.mean_efficiency, cv.final_efficiency)
 
 
-def test_brute_force_breaks_float_ties_as_curve_does():
+# Float edge cases of the search's running curve: {id: (components,
+# frequency, cost)}, the horizon, the order that must win, a rival, and
+# what ranks the winner above the rival: a higher mean at an equal final,
+# a higher final at an equal mean, or, at an equal score, enumeration order.
+FLOAT_CASES = {
     # After B and A, zero-frequency Z fits the horizon and splits the last
     # segment in two. Exactly, both cuts have area 0.41; the float sums
     # of `curve` rank the split one higher, so the search must as well.
-    net = build_network([GlyphNode(g, P, (), 1) for g in "ABYZ"])
-    table = CentralityTable({
-        "A": Centrality(f=0.1, c=0.7, eta=0.1 / 0.7),
-        "B": Centrality(f=0.2, c=0.5, eta=0.4),
-        "Y": Centrality(f=0.1, c=1.1, eta=0.1 / 1.1),
-        "Z": Centrality(f=0.0, c=0.5, eta=0.0),
-    })
-    split = curve(net, external_order(table, ["B", "A", "Z", "Y"]), 2.1)
-    whole = curve(net, external_order(table, ["B", "A", "Y", "Z"]), 2.1)
-    assert split.mean_efficiency > whole.mean_efficiency
-    assert split.final_efficiency == whole.final_efficiency
-    got = brute_force_best_order(net, table, set("ABYZ"), c0=2.1).ids()
-    assert got == oracle_brute_force(net, table, set("ABYZ"), c0=2.1).ids() == ["B", "A", "Z", "Y"]
+    "split-segment": ({"A": ((), 0.1, 0.7), "B": ((), 0.2, 0.5),
+                       "Y": ((), 0.1, 1.1), "Z": ((), 0.0, 0.5)},
+                      2.1, "BAZY", "BAYZ", "mean"),
+    # Zero-cost Y and Z settle at C = 0, before any corner exists; the
+    # second merges into the first. Either order of the two scores the
+    # same, so enumeration order decides.
+    "zero-cost-first": ({"A": ((), 0.3, 1.0), "B": ((), 0.2, 0.6),
+                         "Y": ((), 0.2, 0.0), "Z": ((), 0.1, 0.0)},
+                        1.5, "YZBA", "ZYBA", "order"),
+    # E's cost is lost in 1.0 + 1e-17 == 1.0, so after A it still fits a
+    # horizon A's cost has used up, and merges into A's corner as `curve`
+    # merges it. Exactly, E would be over budget and A, B, E would win.
+    "absorbed-cost": ({"A": ((), 0.5, 1.0), "B": ((), 0.3, 2.0),
+                       "E": (("A",), 0.1, 1e-17)},
+                      1.0, "AEB", "ABE", "final"),
+    # After P, every other item is over budget, and each of B, C and E
+    # leads a different lexicographically first completion (D needs C).
+    # All score the same cut prefix, so the first sibling's must win.
+    "over-budget-siblings": ({"P": ((), 0.5, 1.0), "B": ((), 0.1, 1.0),
+                              "C": ((), 0.1, 1.0), "D": (("C",), 0.1, 1.0),
+                              "E": ((), 0.1, 1.0)},
+                             1.5, "PBCDE", "PEBCD", "order"),
+    # After P, zero-frequency A fits and B is over budget. In floats the
+    # segment A splits sums lower than the whole cut before it, so the
+    # winner is the over-budget B's completion, not its smaller sibling's.
+    "cut-beats-split": ({"A": ((), 0.0, 0.2), "B": ((), 0.3, 2.0), "P": ((), 0.1, 0.2)},
+                        1.7, "PBA", "PAB", "mean"),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_CASES.values(), ids=FLOAT_CASES.keys())
+def test_brute_force_breaks_float_ties_as_curve_does(case):
+    spec, c0, expected, rival, decides = case
+    kinds = {0: P, 1: GlyphKind.VARIANT}
+    net = build_network([GlyphNode(g, kinds.get(len(comps), C), comps, 1)
+                         for g, (comps, _, _) in spec.items()])
+    table = CentralityTable({g: Centrality(f=f, c=c, eta=f / c if c else 0.0)
+                             for g, (_, f, c) in spec.items()})
+    won, lost = ((cv.mean_efficiency, cv.final_efficiency)
+                 for cv in (curve(net, external_order(table, list(ids)), c0)
+                            for ids in (expected, rival)))
+    if decides == "order":
+        assert won == lost and expected < rival
+    else:
+        k = ("mean", "final").index(decides)
+        assert won[k] > lost[k] and won[1 - k] == lost[1 - k]
+    got = brute_force_best_order(net, table, set(spec), c0=c0).ids()
+    assert got == oracle_brute_force(net, table, set(spec), c0=c0).ids() == list(expected)
+
+
+def linear_extension_count(net, pool):
+    """Hierarchal orders of a small pool, by dynamic programming over the
+    subsets already placed."""
+    ids = sorted(pool)
+    bit = {g: 1 << k for k, g in enumerate(ids)}
+    need = [sum(bit[c] for c in set(net.node(g).components)) for g in ids]
+    ways = [1] + [0] * ((1 << len(ids)) - 1)
+    for placed, count in enumerate(ways):
+        if count:
+            for k, mask in enumerate(need):
+                if not placed >> k & 1 and mask & placed == mask:
+                    ways[placed | 1 << k] += count
+    return ways[-1]
+
+
+def test_brute_force_matches_oracle_on_large_search_spaces():
+    # Networks with at least 150 hierarchal orders, as in the benchmark's
+    # exhaustive batch, at 60% of their total cost: past the 300 cut
+    # candidates the hypothesis instances are held to, and where cutting
+    # at the first item over budget prunes the most.
+    rng = random.Random(1414)
+    checked = 0
+    while checked < 5:
+        net = random_network(rng, max_nodes=10, sparse=True)
+        pool = set(net.ids())
+        if linear_extension_count(net, pool) < 150:
+            continue
+        table = random_centralities(rng, net)
+        c0 = 0.6 * sum(table[g].c for g in pool)
+        got = brute_force_best_order(net, table, pool, c0=c0)
+        assert got.ids() == oracle_brute_force(net, table, pool, c0=c0).ids()
+        checked += 1
 
 
 def test_order_csv_format(mini_net, mini_table):
