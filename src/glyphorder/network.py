@@ -4,8 +4,13 @@ A glyph is a character, a component without standalone usage, a variant
 form, or a multi-character word. Edges point from a container to its
 direct components; the network validates that every reference resolves,
 that node shapes match their kinds, and that the graph is acyclic.
-Closure queries (everything reachable through component edges) drive the
-ordering and metrics modules.
+Closure queries (everything reachable through component edges, in a
+fixed depth-first order, cached per node) serve the repair sweep of
+rankings that are not eta-monotone, the charge-unlearned curves and
+library callers. The ordering module's other paths walk `by_id`
+directly: they only need each id once, or one block's share of a
+closure, and building every closure tuple to intersect it with a set
+cost more than walking.
 
 Two pieces of work are done only when they can matter. Following edges
 around a cycle must at some point reach a node listed later than the one
@@ -22,7 +27,7 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class NetworkError(Exception):
@@ -140,6 +145,12 @@ class DecompositionNetwork:
     def nodes(self) -> Iterator[GlyphNode]:
         """All nodes in input order."""
         return iter(self._nodes.values())
+
+    @property
+    def by_id(self) -> Mapping[str, GlyphNode]:
+        """The nodes by id, in input order. Walks over many nodes look ids
+        up here rather than call `node` per id; callers must not change it."""
+        return self._nodes
 
     def node(self, glyph: str) -> GlyphNode:
         try:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .costmodel import CentralityTable, benefit_ratio
-from .network import DecompositionNetwork, UnknownId
+from .network import DecompositionNetwork, GlyphNode, UnknownId
 
 
 class TooLarge(Exception):
@@ -65,8 +65,7 @@ class LearningOrder:
         return [item.glyph for item in self.items]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A component scheduled after (or missing for) a glyph that needs it."""
 
     compound: str
@@ -75,13 +74,29 @@ class Violation:
 
 
 def expand_selection(net: DecompositionNetwork, select: Iterable[str]) -> set[str]:
-    """Selection plus every closure member; raises UnknownId."""
+    """Selection plus every closure member; raises UnknownId for the first
+    id of `select` absent from the network.
+
+    One depth-first walk over stored components whose visited set is the
+    pool itself: an id already in the pool has its whole closure there
+    too, so no id is walked twice and no closure is built.
+    """
+    nodes = net.by_id
     pool: set[str] = set()
+    add = pool.add
     for glyph in select:
-        if glyph not in net:
+        if glyph in pool:
+            continue
+        if glyph not in nodes:
             raise UnknownId(glyph)
-        pool.add(glyph)
-        pool.update(net.closure(glyph))
+        add(glyph)
+        stack = [glyph]
+        while stack:
+            # Index 2 of a node is its components.
+            for comp in nodes[stack.pop()][2]:
+                if comp not in pool:
+                    add(comp)
+                    stack.append(comp)
     return pool
 
 
@@ -157,7 +172,9 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
     """
     pool = expand_selection(net, select)
     ranked = table.ranked(pool)
-    eta = {glyph: table.eta(glyph) for glyph in ranked}
+    entries = table.entries
+    # Index 2 of an entry is its eta.
+    eta = {glyph: entries[glyph][2] for glyph in ranked}
     cut = len(ranked)
     while cut and eta[ranked[cut - 1]] == 0:
         cut -= 1
@@ -167,17 +184,25 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
         repair = _repair
     lazy = set(ranked[cut:])
 
+    nodes = net.by_id
     order: list[str] = []
     for owner in repair(net, ranked[:cut], eta):
+        for comp in nodes[owner][2]:
+            if comp in lazy:
+                break
+        else:
+            # No lazy item left to pull: the block is the owner alone.
+            order.append(owner)
+            continue
         # Postorder from the owner through the lazy items no owner to
         # its left has claimed, the owner itself last.
-        stack = [(owner, iter(net.node(owner).components))]
+        stack = [(owner, iter(nodes[owner][2]))]
         while stack:
             glyph, components = stack[-1]
             for comp in components:
                 if comp in lazy:
                     lazy.remove(comp)
-                    stack.append((comp, iter(net.node(comp).components)))
+                    stack.append((comp, iter(nodes[comp][2])))
                     break
             else:
                 stack.pop()
@@ -214,13 +239,38 @@ def _place(net: DecompositionNetwork, ranked: list[str],
 
     Owners come from one pass in rank order in which the first claim on
     an item wins; an owned item claims nothing, since its owner already
-    claimed all of its closure below it. Blocks are arranged from an
-    explicit stack, so nesting depth is not bounded by Python's recursion
-    limit. The cost is closure scans times nesting depth: each unowned
-    item's closure is scanned once per level of blocks that holds it,
-    with no walks and no moves.
+    claimed all of its closure below it. No closure is built: an item
+    claims its block by a depth-first preorder walk from it over stored
+    components, and each id the walk meets is
+    - claimed and walked into, when it is a member of the list being
+      arranged that is neither scanned nor claimed yet;
+    - walked through, once per list, when it is outside `ranked`: the
+      lazy tail that `priority_topo_sort` leaves out, whose components
+      may be ranked;
+    - skipped otherwise, which is exact because it holds nothing the
+      walk could still claim. An id the scan or a claim took already
+      had the unclaimed members of its closure taken then, by itself or
+      by its claimer, and a walked-through id had them taken by its
+      walk. An id of `ranked` that an enclosing list did not put into
+      this block holds none of the block's members or is out of their
+      reach: when its turn came they were unclaimed, so it took any it
+      held, and a block member reaches only its owner's closure, all of
+      which below the owner the owner took.
+    So each block is the owner's closure order restricted to what it
+    owns, and a walk stops once the list has nothing left to claim.
+
+    A block whose claims form a path, each made inside the walk of the
+    one before and all still open at the last, is a chain of closures:
+    each member holds every later one. A hierarchal arrangement has only
+    one order for it, the reverse of claim order, so it is placed so at
+    once. Other blocks are arranged from an explicit stack, so nesting
+    depth is not bounded by Python's recursion limit; each level walks
+    the components of the ids it claims or passes through once, so n
+    blocks nested inside one another, none of them a path, cost about
+    n^2 / 2 walk steps.
     """
-    closure = net.closure
+    nodes = net.by_id
+    fixed = set(ranked)
     order: list[str] = []
     # Lists still to arrange, and ids whose blocks are already in `order`.
     stack: list[list[str] | str] = [ranked]
@@ -229,23 +279,62 @@ def _place(net: DecompositionNetwork, ranked: list[str],
         if isinstance(top, str):
             order.append(top)
             continue
-        # Ids of the list that rank below the scan and are not yet claimed.
-        below = set(top)
-        placed = []
-        for glyph in top:
-            if glyph not in below:
-                continue
-            below.remove(glyph)
-            members = closure(glyph)
-            owned = below.intersection(members)
-            below -= owned
-            placed.append((glyph, [m for m in members if m in owned] if owned else None))
-        for glyph, block in reversed(placed):
+        for glyph, block, path in reversed(_claim(nodes, fixed, top)):
             stack.append(glyph)
-            if block:
+            if path:
+                # A chain of closures: its only hierarchal arrangement is
+                # the reverse of claim order.
+                stack += block
+            else:
                 block.sort(key=eta.__getitem__, reverse=True)
                 stack.append(block)
     return order
+
+
+def _claim(nodes: Mapping[str, GlyphNode], fixed: set[str],
+           top: list[str]) -> list[tuple[str, list[str], bool]]:
+    """One level of `_place`: each id of `top` that no walk has claimed,
+    in order, with the ids its walk claims and whether those form a
+    path: each claimed inside the walk of the one before it, all of
+    them still open at the last claim. A block of at most one id is a
+    path."""
+    # Ids of the list neither scanned nor claimed yet, and ids outside
+    # `fixed` that a walk of this list has passed through.
+    below = set(top)
+    passed: set[str] = set()
+    placed = []
+    for glyph in top:
+        if glyph not in below:
+            continue
+        below.remove(glyph)
+        block: list[str] = []
+        path = True
+        # The walk of the last claim (at first, of `glyph`) and its place.
+        tip, tip_walk = 0, iter(nodes[glyph][2])
+        walk = [tip_walk] if below else []
+        while walk:
+            for comp in walk[-1]:
+                if comp in below:
+                    below.remove(comp)
+                    block.append(comp)
+                    if path and (len(walk) <= tip or walk[tip] is not tip_walk):
+                        path = False
+                    if not below:
+                        # Nothing is left to claim.
+                        walk.clear()
+                        break
+                    tip, tip_walk = len(walk), iter(nodes[comp][2])
+                    walk.append(tip_walk)
+                    break
+                if comp in fixed or comp in passed:
+                    continue
+                passed.add(comp)
+                walk.append(iter(nodes[comp][2]))
+                break
+            else:
+                walk.pop()
+        placed.append((glyph, block, path))
+    return placed
 
 
 def _repair(net: DecompositionNetwork, ranked: list[str],
@@ -354,6 +443,7 @@ def validate_topological(net: DecompositionNetwork,
     pos = {glyph: k for k, glyph in enumerate(ids)}
     # An id absent from the order reads as position n, after every item.
     n = len(ids)
+    new = tuple.__new__
     out = []
     for k, components in enumerate(comps):
         for comp in components:
@@ -367,9 +457,9 @@ def validate_topological(net: DecompositionNetwork,
         for comp in dict.fromkeys(components):
             at = pos.get(comp)
             if at is None:
-                out.append(Violation(compound=glyph, component=comp, missing=True))
+                out.append(new(Violation, (glyph, comp, True)))
             elif at > k:
-                out.append(Violation(compound=glyph, component=comp))
+                out.append(new(Violation, (glyph, comp, False)))
     return out
 
 

@@ -48,20 +48,23 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
     whatever its rank.
     """
     ranked = sorted(word_freq.raw, key=lambda w: (-word_freq.raw[w], w))
+    nodes = net.by_id
     report: list[tuple[str, str]] = []
     words = []
     # Ids such as a base letter plus a combining mark, which a word split
     # into code points can never name, by first code point, each with
     # its place in the network's order.
     multi: dict[str, list[tuple[int, str]]] = {}
-    for k, glyph in enumerate([glyph for glyph in net.ids() if len(glyph) > 1]):
+    for k, glyph in enumerate([glyph for glyph in nodes if len(glyph) > 1]):
         multi.setdefault(glyph[0], []).append((k, glyph))
     clear_of_multi = multi.keys().isdisjoint
+    new = tuple.__new__
+    word = GlyphKind.WORD
     for token in ranked[:cfg.top_k]:
         chars = tuple(token)
         if len(chars) < 2:
             continue
-        if token in net:
+        if token in nodes:
             report.append((token, "id already present in the network"))
             continue
         if not clear_of_multi(chars):
@@ -71,10 +74,12 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
                 report.append((token, "contains multi-code-point id %s; words are "
                                       "split into single code points" % min(spanning)[1]))
                 continue
-        missing = [ch for ch in chars if ch not in net]
+        missing = [ch for ch in chars if ch not in nodes]
         if missing:
             report.append((token, "unknown character %s" % missing[0]))
             continue
-        words.append(GlyphNode(id=token, kind=GlyphKind.WORD, components=chars))
+        # tuple.__new__ skips GlyphNode's Python-level __new__; a word
+        # has no strokes.
+        words.append(new(GlyphNode, (token, word, chars, 0)))
     return build_network(words, base=net), word_freq, report
 

@@ -9,8 +9,9 @@ clustering statistics from per-component position lists searched by
 bisection, the line reader, decomposition and frequency parsers, network
 builder (with its own container index and a cycle check over every
 network), centralities and hierarchy check as they stood before their
-per-node overhead was cut, an uncached closure descent, and random
-network/centrality generators with fixed seeds.
+per-node overhead was cut, an uncached closure descent, the selection
+expansion and block placement as they stood when both were built from
+closures, and random network/centrality generators with fixed seeds.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from glyphorder.ingest import (DuplicateToken, EmptyTable, FrequencyTable, Parse
                                parse_decompositions, parse_frequencies)
 from glyphorder.metrics import ClusterRow, ClusterStats, curve
 from glyphorder.network import (CycleDetected, DanglingReference, DecompositionNetwork,
-                                DuplicateId, GlyphKind, GlyphNode, InvalidNode, build_network)
+                                DuplicateId, GlyphKind, GlyphNode, InvalidNode, UnknownId,
+                                build_network)
 from glyphorder.ordering import (LearningOrder, Provenance, TooLarge, Violation, _make_items,
                                  expand_selection, external_order)
 
@@ -573,3 +575,48 @@ def oracle_closure(net: DecompositionNetwork, glyph: str) -> tuple[str, ...]:
             out.append(child)
             stack.append(iter(net.node(child).components))
     return tuple(out)
+
+
+def oracle_expand_selection(net: DecompositionNetwork, select) -> set[str]:
+    """Selection plus every closure member, one closure per selected id;
+    raises UnknownId for the first id of `select` absent from the network."""
+    pool: set[str] = set()
+    for glyph in select:
+        if glyph not in net:
+            raise UnknownId(glyph)
+        pool.add(glyph)
+        pool.update(net.closure(glyph))
+    return pool
+
+
+def oracle_place(net: DecompositionNetwork, ranked: list[str],
+                 eta: dict[str, float]) -> list[str]:
+    """Block placement from closures: scanning `ranked` in order, each id
+    not yet claimed claims the unclaimed ids of the list below it that its
+    closure holds, in closure order; the block is stable-sorted by eta
+    descending and arranged by the same rule as a list of its own, and
+    placed directly left of its owner."""
+    closure = net.closure
+    order: list[str] = []
+    stack: list[list[str] | str] = [ranked]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            order.append(top)
+            continue
+        below = set(top)
+        placed = []
+        for glyph in top:
+            if glyph not in below:
+                continue
+            below.remove(glyph)
+            members = closure(glyph)
+            owned = below.intersection(members)
+            below -= owned
+            placed.append((glyph, [m for m in members if m in owned] if owned else None))
+        for glyph, block in reversed(placed):
+            stack.append(glyph)
+            if block:
+                block.sort(key=eta.__getitem__, reverse=True)
+                stack.append(block)
+    return order

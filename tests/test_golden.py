@@ -45,6 +45,10 @@ CASES = {
     "order-gamma": ["order", "--gamma", 0.25],
     "order-target": ["order", "--target", TARGET],
     "words": ["words"],
+    "words-target": ["words", "--target", TARGET],
+    "order-words": ["order", "--mode", "words"],
+    "cluster": ["cluster"],
+    "cluster-max-n": ["cluster", "--max-n", 5],
     "validate-hierarchal": ["validate", KAHN],
     "validate-rote": ["validate", ROTE],
 }

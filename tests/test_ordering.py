@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 from glyphorder.costmodel import (Centrality, CentralityTable, CostParams, benefit_ratio,
                                   centralities)
 from glyphorder.metrics import CostMode, curve
-from glyphorder.network import GlyphKind, GlyphNode, UnknownId, build_network
+from glyphorder.ingest import parse_target_list
+from glyphorder.network import (DecompositionNetwork, GlyphKind, GlyphNode, UnknownId,
+                                build_network)
 from glyphorder.ordering import (Provenance, TooLarge, Violation, _place, _repair,
                                  brute_force_best_order, expand_selection, external_order,
                                  kahn_order, priority_topo_sort, pure_frequency_order,
-                                 serialize_order_csv, validate_topological)
+                                 serialize_order_csv, target_pool, validate_topological)
+from glyphorder.words import WordNetworkConfig, expand_with_words
 
-from conftest import (enumerate_topological, oracle_brute_force, oracle_sweep,
-                      oracle_sweep_from, oracle_validate_topological, random_centralities,
-                      random_network, table_from_counts)
+from conftest import (DATA_DIR, enumerate_topological, oracle_brute_force,
+                      oracle_expand_selection, oracle_place, oracle_sweep, oracle_sweep_from,
+                      oracle_validate_topological, random_centralities, random_network,
+                      table_from_counts)
 
 P = GlyphKind.PRIMITIVE_CHARACTER
 C = GlyphKind.COMPOUND
@@ -200,6 +204,26 @@ def test_deep_chain_of_containers_ranked_above_their_components():
     assert priority_topo_sort(net, table, {ids[-1]}).ids() == ids
 
 
+def test_nested_blocks_that_are_not_chains_match_the_closure_oracle():
+    # v_k = v_(k-1) + p_k, every v ranked above every p: the walk from
+    # v_k claims down the v's and then, on the way back, each p, so no
+    # block is a chain, and each v's block holds the next v's block and
+    # one p that no v inside it holds.
+    n = 300
+    nodes = [GlyphNode("v0", P, (), 1)]
+    etas = {"v0": n}
+    for k in range(1, n):
+        nodes += [GlyphNode("p%d" % k, P, (), 1),
+                  GlyphNode("v%d" % k, C, ("v%d" % (k - 1), "p%d" % k), 2)]
+        etas.update({"v%d" % k: n + k, "p%d" % k: k})
+    net = build_network(nodes)
+    eta = {glyph: e / n**2 for glyph, e in etas.items()}
+    ranked = sorted(eta, key=lambda glyph: -eta[glyph])
+    placed = _place(net, ranked, eta)
+    assert placed == oracle_place(net, ranked, eta)
+    assert validate_topological(net, placed) == []
+
+
 def sweep_and_placement(net, table, select):
     ranked = table.ranked(expand_selection(net, select))
     eta = {glyph: table.eta(glyph) for glyph in ranked}
@@ -238,6 +262,71 @@ def test_hub_under_many_containers_is_placed_once():
     swept, placed = sweep_and_placement(net, table, set(net.ids()))
     assert placed == swept == expected
     assert priority_topo_sort(net, table, set(net.ids())).ids() == expected
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["random", "nested"]),
+       lazy_share=st.sampled_from([0.0, 0.3, 0.6]))
+def test_placement_and_expansion_match_the_closure_oracles(seed, shape, lazy_share):
+    # Lazy (eta 0) ids stay out of the placed list, as priority_topo_sort
+    # leaves them out, so a walk must pass through them to reach the
+    # ranked components below them. "nested" ranks later ids, which
+    # include every container, mostly above earlier ones, so blocks nest
+    # several levels deep. The generator repeats some components.
+    rng = random.Random(seed)
+    net = random_network(rng, max_nodes=rng.choice([12, 40, 120]), sparse=rng.random() < 0.3)
+    ids = list(net.ids())
+    n = len(ids)
+    entries = {}
+    for k, glyph in enumerate(ids):
+        if rng.random() < lazy_share:
+            entries[glyph] = Centrality(f=0.0, c=1.0, eta=0.0)
+        else:
+            rank = k + 1 + rng.randint(0, 3) if shape == "nested" else rng.randint(1, 3 * n)
+            entries[glyph] = Centrality(f=rank / (4 * n), c=1.0, eta=rank / (4 * n))
+    table = CentralityTable(entries)
+
+    select = rng.sample(ids, rng.randint(1, n))
+    pool = expand_selection(net, select)
+    assert pool == oracle_expand_selection(net, select)
+    ranked = table.ranked(pool)
+    eta = {glyph: table.eta(glyph) for glyph in ranked}
+    listed = [glyph for glyph in ranked if eta[glyph] > 0]
+    lazy = [glyph for glyph in ranked if eta[glyph] == 0]
+    assert _place(net, listed, eta) == oracle_place(net, listed, eta)
+    assert _place(net, lazy, eta) == oracle_place(net, lazy, eta)
+
+    # The first absent id, in selection order, is the one named.
+    absent = select[:]
+    for k in range(rng.randint(1, 2)):
+        absent.insert(rng.randint(0, len(absent)), "absent-%d" % k)
+    with pytest.raises(UnknownId) as oracle_error:
+        oracle_expand_selection(net, absent)
+    with pytest.raises(UnknownId) as error:
+        expand_selection(net, absent)
+    assert error.value.args == oracle_error.value.args
+
+
+def test_placement_builds_no_closures(monkeypatch, mini_net, mini_freq, mini_table,
+                                      mini_word_freq):
+    # Eta-monotone pools are placed by walking components; only the
+    # repair sweep, which a zero-cost glyph of zero frequency ranked
+    # first selects, reads closures.
+    def refuse(self, glyph):
+        raise AssertionError("closure(%s) called" % glyph)
+
+    known = frozenset(node.id for node in mini_net.nodes() if node.kind.is_primitive)
+    known_table = centralities(mini_net, mini_freq, CostParams(known=known))
+    monkeypatch.setattr(DecompositionNetwork, "closure", refuse)
+    words_net, word_freq, _ = expand_with_words(mini_net, mini_word_freq, WordNetworkConfig())
+    words_table = centralities(words_net, word_freq, CostParams())
+    targets = parse_target_list((DATA_DIR / "target_basic.txt").read_text(encoding="utf-8"))
+    for net, table in ((mini_net, mini_table), (words_net, words_table)):
+        for select in (set(net.ids()), target_pool(net, targets)[0]):
+            order = priority_topo_sort(net, table, select)
+            assert validate_topological(net, order) == []
+    with pytest.raises(AssertionError, match="closure"):
+        priority_topo_sort(mini_net, known_table, set(mini_net.ids()))
 
 
 def test_output_valid_and_permutation_random():
@@ -376,6 +465,15 @@ def test_validate_topological_examples(mini_net):
     assert validate_topological(mini_net, ["的", "白"]) == [
         Violation("的", "白"), Violation("的", "勺", missing=True)]
     assert validate_topological(mini_net, []) == []
+
+
+def test_violation_fields_and_default():
+    v = Violation(compound="的", component="白")
+    assert (v.compound, v.component, v.missing) == ("的", "白", False)
+    assert Violation("的", "勺", True) == Violation(component="勺", compound="的",
+                                                     missing=True)
+    with pytest.raises(AttributeError):
+        v.missing = True
 
 
 def test_validate_dedupes_repeated_components():
