@@ -7,10 +7,10 @@ that node shapes match their kinds, and that the graph is acyclic.
 Closure queries (everything reachable through component edges, in a
 fixed depth-first order, cached per node) serve the repair sweep of
 rankings that are not eta-monotone, the charge-unlearned curves and
-library callers. The ordering module's other paths walk `by_id`
-directly: they only need each id once, or one block's share of a
-closure, and building every closure tuple to intersect it with a set
-cost more than walking.
+library callers. The ordering and words modules read the node dict
+`_nodes` directly and never change it: they only need each id once, or
+one block's share of a closure, and building every closure tuple to
+intersect it with a set cost more than walking.
 
 Two pieces of work are done only when they can matter. Following edges
 around a cycle must at some point reach a node listed later than the one
@@ -27,7 +27,7 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class NetworkError(Exception):
@@ -145,12 +145,6 @@ class DecompositionNetwork:
     def nodes(self) -> Iterator[GlyphNode]:
         """All nodes in input order."""
         return iter(self._nodes.values())
-
-    @property
-    def by_id(self) -> Mapping[str, GlyphNode]:
-        """The nodes by id, in input order. Walks over many nodes look ids
-        up here rather than call `node` per id; callers must not change it."""
-        return self._nodes
 
     def node(self, glyph: str) -> GlyphNode:
         try:

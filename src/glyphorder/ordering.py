@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .costmodel import CentralityTable, benefit_ratio
-from .network import DecompositionNetwork, GlyphNode, UnknownId
+from .network import DecompositionNetwork, UnknownId
 
 
 class TooLarge(Exception):
@@ -81,7 +81,7 @@ def expand_selection(net: DecompositionNetwork, select: Iterable[str]) -> set[st
     pool itself: an id already in the pool has its whole closure there
     too, so no id is walked twice and no closure is built.
     """
-    nodes = net.by_id
+    nodes = net._nodes
     pool: set[str] = set()
     add = pool.add
     for glyph in select:
@@ -184,7 +184,7 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
         repair = _repair
     lazy = set(ranked[cut:])
 
-    nodes = net.by_id
+    nodes = net._nodes
     order: list[str] = []
     for owner in repair(net, ranked[:cut], eta):
         for comp in nodes[owner][2]:
@@ -259,17 +259,13 @@ def _place(net: DecompositionNetwork, ranked: list[str],
     So each block is the owner's closure order restricted to what it
     owns, and a walk stops once the list has nothing left to claim.
 
-    A block whose claims form a path, each made inside the walk of the
-    one before and all still open at the last, is a chain of closures:
-    each member holds every later one. A hierarchal arrangement has only
-    one order for it, the reverse of claim order, so it is placed so at
-    once. Other blocks are arranged from an explicit stack, so nesting
-    depth is not bounded by Python's recursion limit; each level walks
-    the components of the ids it claims or passes through once, so n
-    blocks nested inside one another, none of them a path, cost about
-    n^2 / 2 walk steps.
+    Blocks are arranged from an explicit stack, so nesting depth is not
+    bounded by Python's recursion limit. Each level walks the components
+    of the ids it claims or passes through once, so n blocks nested
+    inside one another cost about n^2 / 2 walk steps; the languages
+    `perfbench/synth.py` generates nest at most four levels deep.
     """
-    nodes = net.by_id
+    nodes = net._nodes
     fixed = set(ranked)
     order: list[str] = []
     # Lists still to arrange, and ids whose blocks are already in `order`.
@@ -279,62 +275,45 @@ def _place(net: DecompositionNetwork, ranked: list[str],
         if isinstance(top, str):
             order.append(top)
             continue
-        for glyph, block, path in reversed(_claim(nodes, fixed, top)):
+        # Ids of the list neither scanned nor claimed yet, and ids outside
+        # `fixed` that a walk of this list has passed through.
+        below = set(top)
+        passed: set[str] = set()
+        placed = []
+        for glyph in top:
+            if glyph not in below:
+                continue
+            below.remove(glyph)
+            block: list[str] = []
+            # Index 2 of a node is its components.
+            walk = [iter(nodes[glyph][2])] if below else []
+            while walk:
+                for comp in walk[-1]:
+                    if comp in below:
+                        below.remove(comp)
+                        block.append(comp)
+                        if not below:
+                            # Nothing is left to claim.
+                            walk.clear()
+                            break
+                    elif comp in fixed or comp in passed:
+                        continue
+                    else:
+                        passed.add(comp)
+                    walk.append(iter(nodes[comp][2]))
+                    break
+                else:
+                    walk.pop()
+            placed.append((glyph, block))
+        for glyph, block in reversed(placed):
             stack.append(glyph)
-            if path:
-                # A chain of closures: its only hierarchal arrangement is
-                # the reverse of claim order.
-                stack += block
-            else:
+            if len(block) > 1:
                 block.sort(key=eta.__getitem__, reverse=True)
                 stack.append(block)
-    return order
-
-
-def _claim(nodes: Mapping[str, GlyphNode], fixed: set[str],
-           top: list[str]) -> list[tuple[str, list[str], bool]]:
-    """One level of `_place`: each id of `top` that no walk has claimed,
-    in order, with the ids its walk claims and whether those form a
-    path: each claimed inside the walk of the one before it, all of
-    them still open at the last claim. A block of at most one id is a
-    path."""
-    # Ids of the list neither scanned nor claimed yet, and ids outside
-    # `fixed` that a walk of this list has passed through.
-    below = set(top)
-    passed: set[str] = set()
-    placed = []
-    for glyph in top:
-        if glyph not in below:
-            continue
-        below.remove(glyph)
-        block: list[str] = []
-        path = True
-        # The walk of the last claim (at first, of `glyph`) and its place.
-        tip, tip_walk = 0, iter(nodes[glyph][2])
-        walk = [tip_walk] if below else []
-        while walk:
-            for comp in walk[-1]:
-                if comp in below:
-                    below.remove(comp)
-                    block.append(comp)
-                    if path and (len(walk) <= tip or walk[tip] is not tip_walk):
-                        path = False
-                    if not below:
-                        # Nothing is left to claim.
-                        walk.clear()
-                        break
-                    tip, tip_walk = len(walk), iter(nodes[comp][2])
-                    walk.append(tip_walk)
-                    break
-                if comp in fixed or comp in passed:
-                    continue
-                passed.add(comp)
-                walk.append(iter(nodes[comp][2]))
-                break
             else:
-                walk.pop()
-        placed.append((glyph, block, path))
-    return placed
+                # A block of at most one id is arranged already.
+                stack += block
+    return order
 
 
 def _repair(net: DecompositionNetwork, ranked: list[str],

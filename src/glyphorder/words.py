@@ -48,7 +48,7 @@ def expand_with_words(net: DecompositionNetwork, word_freq: FrequencyTable,
     whatever its rank.
     """
     ranked = sorted(word_freq.raw, key=lambda w: (-word_freq.raw[w], w))
-    nodes = net.by_id
+    nodes = net._nodes
     report: list[tuple[str, str]] = []
     words = []
     # Ids such as a base letter plus a combining mark, which a word split

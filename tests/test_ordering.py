@@ -204,11 +204,11 @@ def test_deep_chain_of_containers_ranked_above_their_components():
     assert priority_topo_sort(net, table, {ids[-1]}).ids() == ids
 
 
-def test_nested_blocks_that_are_not_chains_match_the_closure_oracle():
+def test_nested_blocks_match_the_closure_oracle():
     # v_k = v_(k-1) + p_k, every v ranked above every p: the walk from
-    # v_k claims down the v's and then, on the way back, each p, so no
-    # block is a chain, and each v's block holds the next v's block and
-    # one p that no v inside it holds.
+    # v_k claims down the v's and then, on the way back, each p, and
+    # each v's block holds the next v's block and one p that no v inside
+    # it holds, 300 levels deep.
     n = 300
     nodes = [GlyphNode("v0", P, (), 1)]
     etas = {"v0": n}
