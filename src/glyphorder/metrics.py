@@ -23,6 +23,7 @@ averages over the order.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -48,7 +49,7 @@ class NotTopological(Exception):
 
 
 class NonPositiveHorizon(ValueError):
-    """The evaluation horizon C0 must be positive."""
+    """The evaluation horizon C0 must be finite and positive."""
 
 
 class MissingCost(Exception):
@@ -111,12 +112,12 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
     members outside the order come from `cost_lookup`.
 
     Raises:
-        NonPositiveHorizon: c0 <= 0.
+        NonPositiveHorizon: c0 is not finite and positive.
         NotTopological: hierarchal mode on a violating order.
         MissingCost: charging mode found no cost for an absent member.
     """
-    if c0 <= 0:
-        raise NonPositiveHorizon("c0 must be positive, got %r" % (c0,))
+    if not 0 < c0 < math.inf:
+        raise NonPositiveHorizon("c0 must be finite and positive, got %r" % (c0,))
     if mode is CostMode.HIERARCHAL:
         violations = validate_topological(net, order)
         if violations:
@@ -183,8 +184,8 @@ def truncate(cv: LearningCurve, h: float) -> LearningCurve:
     equals `curve` evaluated at h. Corner costs increase strictly, so the
     kept corners are a prefix found by bisection.
     """
-    if h <= 0:
-        raise NonPositiveHorizon("horizon must be positive, got %r" % (h,))
+    if not 0 < h < math.inf:
+        raise NonPositiveHorizon("horizon must be finite and positive, got %r" % (h,))
     if h > cv.c0:
         raise ValueError("horizon %g exceeds the curve's c0 %g" % (h, cv.c0))
     k = bisect_right(cv.points, h, key=lambda point: point[0])

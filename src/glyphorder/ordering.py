@@ -18,6 +18,7 @@ not always optimal), and the hierarchal-validity checker.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -142,9 +143,10 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
     list passes through unchanged.
 
     When the ranking is eta-monotone, the sweep's result is built
-    directly instead (`_place`): each item goes once into the block of
-    its owner, the highest-ranked item above it whose closure contains
-    it. Items of eta 0 and positive cost (zero-frequency components;
+    directly instead: each item goes once into the block of its owner,
+    the highest-ranked item above it whose closure contains it, and
+    `_place`'s docstring argues why that is the sweep's result. Items of
+    eta 0 and positive cost (zero-frequency components;
     *lazy* here) are left out of that and placed afterwards, with the
     same result as sweeping them:
 
@@ -451,7 +453,8 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     members) in lexicographic order and keeps the one with the highest
     mean efficiency at horizon `c0`, breaking ties by higher final
     efficiency and then by the enumeration order itself. Exponential
-    time; refuses more than `limit` nodes.
+    time; refuses more than `limit` nodes, and a `c0` that is not finite
+    and positive.
 
     The search places an item only after its components, so every order
     it builds is hierarchal. Instead of building and validating each
@@ -471,12 +474,51 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     that same prefix, and the best score never falls and is only
     replaced by a strictly higher one, so only the first such child can
     win and only it is scored.
+
+    An in-budget child is skipped when no completion below it can reach
+    the best score, by branch and bound:
+
+    - Area identity: the score's numerator, area + F (c0 - C), is
+      sum f_j (c0 - C_j) over the learned items, where C_j is the cost
+      at which item j is learned. This is single-machine total weighted
+      completion time under precedence, cut at a horizon.
+    - Bound: say the child leaves (area a, cost C, frequency F) and room
+      r = c0 - C. An item j placed later is learned at C_j >= C + c_j,
+      so it adds at most f_j (r - c_j), and nothing unless c_j < r. Every
+      completion's numerator is therefore at most
+      a + F r + sum f_j (r - c_j) over the unplaced j with c_j < r, and,
+      since F and the unplaced frequencies add up to all of them, at
+      most a + (sum of all f) r. The search tests that O(1) form first.
+      Only when it does not prune does it add up the sum, over positive
+      frequencies, cheapest first, up to the first c_j >= r or until the
+      bound reaches the floor.
+    - Floor: before the search, the greedy order that always takes the
+      ready item ranked first by the table (highest eta = f / c) is
+      scored with the search's own float operations, up to its first
+      item over budget. It is one of the enumerated orders, so the best
+      numerator is at least its numerator. The floor rises to each new
+      best numerator.
+    - Margin: a child is skipped only when its bound is below the floor
+      by more than 1e-9 c0 (sum of all f). Numerators and bounds are sums
+      of at most 2 `limit` products of non-negative floats, adding up to
+      at most c0 (sum of all f), over costs that are float sums too, so
+      their rounding is some 1e-15 of that. A skipped subtree thus scores
+      strictly below the floor: it never holds the winner or an order
+      tied with it, so the result, its score bits and its tie-breaks are
+      those of the full enumeration. Without the margin, a bound that
+      rounds below an equal score can skip the very path that reaches
+      the floor.
+    - Non-negativity: the bound needs every cost and frequency of the
+      pool finite and >= 0 (a negative cost lowers C, a negative
+      frequency makes a cut worth more), as `centralities` always gives.
+      For any other table the floor stays at -inf and nothing is
+      skipped.
     """
     pool = expand_selection(net, select)
     if len(pool) > limit:
         raise TooLarge("%d nodes exceed the brute-force limit of %d" % (len(pool), limit))
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
+    if not 0 < c0 < math.inf:
+        raise ValueError("c0 must be finite and positive, got %r" % (c0,))
 
     # Nodes are their indices in id order, so index order is lexicographic.
     ids = sorted(pool)
@@ -485,8 +527,33 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     costs = [table[g].c for g in ids]
     freqs = [table[g].f for g in ids]
     parents = [[index[p] for p in sorted(set(net.containers(g)) & pool)] for g in ids]
-    # Components not yet placed; a placed node reads 1, so 0 means ready.
+    # Components not yet placed; a placed node reads -1, so 0 means ready.
     blocked = [len(set(net.node(g).components) & pool) for g in ids]
+
+    total = sum(freqs)
+    # The items a bound sums over: zero frequencies add nothing to it.
+    by_cost = sorted((costs[j], freqs[j], j) for j in range(n) if freqs[j] > 0)
+    prune = all(0 <= x < math.inf for x in costs + freqs)
+    margin = 1e-9 * c0 * total
+    # The floor less the margin: a child whose bound is below it is skipped.
+    cutoff = -math.inf
+    if prune:
+        # The greedy floor, scored as the search scores it.
+        area = c = f = 0.0
+        left = blocked[:]
+        todo = [index[g] for g in table.ranked(pool)]
+        while todo:
+            k = next(j for j in todo if not left[j])
+            todo.remove(k)
+            step = c + costs[k]
+            if step > c0:
+                break
+            if step != c:
+                area, c = area + f * (step - c), step
+            f += freqs[k]
+            for parent in parents[k]:
+                left[parent] -= 1
+        cutoff = area + f * (c0 - c) - margin
 
     best_score: tuple[float, float] | None = None
     best: list[int] = []
@@ -497,7 +564,7 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
         left = blocked[:]
         tail = [k]
         for j in tail:
-            left[j] = 1
+            left[j] = -1
             for parent in parents[j]:
                 left[parent] -= 1
             if 0 in left:
@@ -505,11 +572,14 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
         return prefix + tail
 
     def search(area: float, c: float, f: float) -> None:
-        nonlocal best_score, best
+        nonlocal best_score, best, cutoff
         if len(prefix) == n:
-            score = ((area + f * (c0 - c)) / c0, f)
+            value = area + f * (c0 - c)
+            score = (value / c0, f)
             if best_score is None or score > best_score:
                 best_score, best = score, prefix[:]
+                if prune:
+                    cutoff = max(cutoff, value - margin)
             return
         unscored = True
         for k in range(n):
@@ -519,18 +589,30 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
             if step > c0:
                 if unscored:
                     unscored = False
-                    score = ((area + f * (c0 - c)) / c0, f)
+                    value = area + f * (c0 - c)
+                    score = (value / c0, f)
                     if best_score is None or score > best_score:
                         best_score, best = score, completion(k)
+                        if prune:
+                            cutoff = max(cutoff, value - margin)
                 continue
-            blocked[k] = 1
+            after = area if step == c else area + f * (step - c)
+            room = c0 - step
+            if after + total * room < cutoff:
+                continue
+            bound = after + (f + freqs[k]) * room
+            for cj, fj, j in by_cost:
+                if cj >= room or bound >= cutoff:
+                    break
+                if blocked[j] >= 0 and j != k:
+                    bound += fj * (room - cj)
+            if bound < cutoff:
+                continue
+            blocked[k] = -1
             prefix.append(k)
             for parent in parents[k]:
                 blocked[parent] -= 1
-            if step == c:
-                search(area, c, f + freqs[k])
-            else:
-                search(area + f * (step - c), step, f + freqs[k])
+            search(after, step, f + freqs[k])
             for parent in parents[k]:
                 blocked[parent] += 1
             prefix.pop()

@@ -75,10 +75,13 @@ def test_zero_cost_items_merge_into_one_corner():
 def test_horizon_must_be_positive():
     net, table, ids = flat({"a": (1.0, 1.0)})
     order = external_order(table, ids)
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(NonPositiveHorizon):
             curve(net, order, c0=bad)
     cv = curve(net, order, c0=1.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(NonPositiveHorizon):
+            truncate(cv, bad)
     with pytest.raises(NonPositiveHorizon):
         at_horizon(cv, 0.0)
     with pytest.raises(ValueError):

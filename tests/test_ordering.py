@@ -1,5 +1,6 @@
 """The repair sweep, baselines, brute force, and validity checking."""
 
+import math
 import random
 
 import pytest
@@ -525,6 +526,9 @@ def test_brute_force_single_node_and_too_large():
     net = build_network([GlyphNode("A", P, (), 1)])
     table = CentralityTable({"A": Centrality(f=1.0, c=1.0, eta=1.0)})
     assert brute_force_best_order(net, table, {"A"}, c0=1.0).ids() == ["A"]
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            brute_force_best_order(net, table, {"A"}, c0=bad)
 
     rng = random.Random(2)
     big = random_network(rng, max_nodes=30)
@@ -601,10 +605,11 @@ def test_brute_force_never_below_the_sweep():
         assert best_cv.mean_efficiency >= sweep_cv.mean_efficiency - 1e-12
 
 
-def cut_candidates(net, table, pool, c0):
+def cut_candidates(net, table, pool, c0, limit):
     """Every hierarchal order of `pool`, cut after its first item over
-    budget at c0. A cut order scores the same as each of its
-    completions, so these are all the scores a search must compare."""
+    budget at c0, or the first `limit` + 1 of them when there are more.
+    A cut order scores the same as each of its completions, so these
+    are all the scores a search must compare."""
     ids = sorted(pool)
     comps = {g: set(net.node(g).components) & pool for g in ids}
     out = []
@@ -615,6 +620,8 @@ def cut_candidates(net, table, pool, c0):
             out.append(list(prefix))
             return
         for glyph in ids:
+            if len(out) > limit:
+                return
             if glyph not in prefix and comps[glyph] <= set(prefix):
                 prefix.append(glyph)
                 walk(cum_cost + table[glyph].c)
@@ -669,7 +676,7 @@ def brute_force_instances(draw, max_candidates=300):
     else:
         horizons = [draw(st.floats(0.2, 1.2)) * cum] + prefix_costs[::-1]
     for c0 in horizons:
-        cands = cut_candidates(net, table, pool, c0)
+        cands = cut_candidates(net, table, pool, c0, max_candidates)
         if len(cands) <= max_candidates:
             return net, table, pool, c0, cands
     assume(False)
@@ -723,6 +730,16 @@ FLOAT_CASES = {
     # winner is the over-budget B's completion, not its smaller sibling's.
     "cut-beats-split": ({"A": ((), 0.0, 0.2), "B": ((), 0.3, 2.0), "P": ((), 0.1, 0.2)},
                         1.7, "PBA", "PAB", "mean"),
+    # A and B are alike, so the greedy floor, A then B, is the optimum
+    # itself. After A the bound sums to 0.26999999999999996, below the
+    # 0.27 that A, B scores: only the pruning margin keeps that path.
+    "greedy-floor-tie": ({"A": ((), 0.1, 0.1), "B": ((), 0.1, 0.1)},
+                         1.5, "AB", "BA", "order"),
+    # No item occurs, so every order scores 0, the floor is 0 and so is
+    # the margin: a bound equal to the floor must not prune.
+    "all-zero-frequency": ({"A": ((), 0.0, 1.0), "B": ((), 0.0, 1.0),
+                            "X": (("A", "B"), 0.0, 1.0)},
+                           3.0, "ABX", "BAX", "order"),
 }
 
 
@@ -744,6 +761,30 @@ def test_brute_force_breaks_float_ties_as_curve_does(case):
         assert won[k] > lost[k] and won[1 - k] == lost[1 - k]
     got = brute_force_best_order(net, table, set(spec), c0=c0).ids()
     assert got == oracle_brute_force(net, table, set(spec), c0=c0).ids() == list(expected)
+
+
+@pytest.mark.parametrize("spoil", ["negative-frequency", "infinite-cost"])
+def test_brute_force_without_pruning_matches_oracle(spoil):
+    # Pruning is off for a table that `centralities` cannot give. A
+    # negative frequency would break the bound, which assumes that no
+    # item takes away from the area; the search must still find the
+    # oracle's order.
+    rng = random.Random(2718)
+    for _ in range(30):
+        net = random_network(rng, max_nodes=8, sparse=True)
+        pool = set(net.ids())
+        entries = dict(random_centralities(rng, net).entries)
+        glyph = rng.choice(sorted(pool))
+        f, c, _ = entries[glyph]
+        if spoil == "negative-frequency":
+            f = -rng.uniform(0.1, 1.0)
+        else:
+            c = math.inf
+        entries[glyph] = Centrality(f=f, c=c, eta=benefit_ratio(f, c))
+        table = CentralityTable(entries)
+        c0 = 0.6 * sum(table[g].c for g in pool if table[g].c < math.inf)
+        got = brute_force_best_order(net, table, pool, c0=c0)
+        assert got.ids() == oracle_brute_force(net, table, pool, c0=c0).ids()
 
 
 def linear_extension_count(net, pool):
