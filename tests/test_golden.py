@@ -27,6 +27,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
 
 KAHN = GOLDEN / "kahn_order.txt"            # plain, hierarchal
+KNOWN_VARIANTS = GOLDEN / "known_variants.txt"  # ranks positive glyphs across a zero-cost head
 OPTIMIZED_CSV = GOLDEN / "optimized_order.csv"
 ROTE = DATA_DIR / "rote_order.txt"          # plain, not hierarchal
 TARGET = DATA_DIR / "target_basic.txt"
@@ -42,10 +43,12 @@ CASES = {
     "one-small-c0": ["compare", ROTE, OPTIMIZED_CSV, "--c0", 7.5],
     "order": ["order"],
     "order-known-primitives": ["order", "--known", "all-primitives"],
+    "order-known-variants": ["order", "--known", KNOWN_VARIANTS],
     "order-gamma": ["order", "--gamma", 0.25],
     "order-target": ["order", "--target", TARGET],
     "words": ["words"],
     "words-target": ["words", "--target", TARGET],
+    "words-known-variants": ["words", "--known", KNOWN_VARIANTS],
     "order-words": ["order", "--mode", "words"],
     "cluster": ["cluster"],
     "cluster-max-n": ["cluster", "--max-n", 5],
