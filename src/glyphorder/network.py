@@ -5,12 +5,11 @@ form, or a multi-character word. Edges point from a container to its
 direct components; the network validates that every reference resolves,
 that node shapes match their kinds, and that the graph is acyclic.
 Closure queries (everything reachable through component edges, in a
-fixed depth-first order, cached per node) serve the repair sweep of
-rankings that are not eta-monotone, the charge-unlearned curves and
-library callers. The ordering and words modules read the node dict
-`_nodes` directly and never change it: they only need each id once, or
-one block's share of a closure, and building every closure tuple to
-intersect it with a set cost more than walking.
+fixed depth-first order, cached per node) serve the charge-unlearned
+curves and library callers. The ordering and words modules read the
+node dict `_nodes` directly and never change it: they only need each id
+once, or one block's share of a closure, and building every closure
+tuple to intersect it with a set cost more than walking.
 
 Two pieces of work are done only when they can matter. Following edges
 around a cycle must at some point reach a node listed later than the one

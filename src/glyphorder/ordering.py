@@ -6,9 +6,8 @@ possible: sweeping from the low-centrality end, any component found to
 the right of a glyph that contains it is pulled to the glyph's left, as
 far left as its own centrality allows. High-centrality compounds
 therefore stay early, dragging just their components in front of them.
-For a ranking whose etas never rise, that result is built directly,
-each component placed once, in front of the highest-ranked container
-that outranks it.
+That result is built directly, each component placed once, in front of
+the highest-ranked container that outranks it.
 
 Also here: a pure-frequency baseline (not hierarchal in general), a
 first-in-first-out Kahn baseline (hierarchal but centrality-blind), an
@@ -127,69 +126,98 @@ def external_order(table: CentralityTable, ids: Sequence[str],
     return LearningOrder(items=_make_items(table, ids), provenance=provenance)
 
 
+# No glyph id is empty, so the empty id can mark the head's place.
+_MARKER = ""
+
+
 def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
                        select: Iterable[str]) -> LearningOrder:
     """Sort the selection into a hierarchal order with minimal disturbance.
 
     The initial list is the selection plus all closure members, ranked by
-    descending centrality. The list is then repaired by the sweep that
-    `_repair` transcribes: from the low-centrality end, each closure
-    member found to the right of the glyph under the cursor is pulled to
-    its left, directly right of the rightmost item whose eta is at least
-    the member's own (at the very front when no such item exists), and
-    the cursor resumes just left of the glyph's final place. Equal-eta
-    placement therefore lands right of its equals. Items that are never
-    repositioned keep their relative ranking, and an already-hierarchal
-    list passes through unchanged.
+    descending centrality. The list is then repaired by a sweep: from the
+    low-centrality end, each closure member found to the right of the
+    glyph under the cursor is pulled to its left, directly right of the
+    rightmost item whose eta is at least the member's own (at the very
+    front when no such item exists), and the cursor resumes just left of
+    the glyph's final place. Equal-eta placement therefore lands right of
+    its equals. Items that are never repositioned keep their relative
+    ranking, and an already-hierarchal list passes through unchanged.
 
-    When the ranking is eta-monotone, the sweep's result is built
-    directly instead: each item goes once into the block of its owner,
-    the highest-ranked item above it whose closure contains it, and
-    `_place`'s docstring argues why that is the sweep's result. Items of
-    eta 0 and positive cost (zero-frequency components;
-    *lazy* here) are left out of that and placed afterwards, with the
-    same result as sweeping them:
+    The sweep's result is built directly. Items of eta 0 are *lazy* here:
+    the zero-cost *head* (zero cost and zero frequency, ranked right
+    after the infinite etas) and the positive-cost tail (zero-frequency
+    components) alike. The positive etas, the infinite ones and then the
+    finite ones in descending order, are eta-monotone: `_place` puts each
+    of them once into the block of its owner, the highest-ranked item
+    above it whose closure contains it, and its docstring argues why that
+    is the sweep's result. Lazy items are left out of that and placed
+    afterwards, with the same result as sweeping them:
 
     - A lazy member's walk stops at once, so the lazy items a glyph pulls
       form one block directly left of it. The cursor drains that block
       before it reaches any other item, and inside it lazy items only
       pull each other.
-    - A lazy item never stops the walk of a positive eta, so the other
-      items move exactly as in a sweep of them alone.
+    - A lazy item never stops the walk of a positive eta. One of the
+      tail pulls no positive item: its positive members rank above it,
+      and once it is in a block, its owner's positive members lie left
+      of that block. So without a head, the positive items move exactly
+      as in a sweep of them alone.
+    - The head's glyphs do pull positive items. No finite eta exceeds
+      that of the first finite eta `p0`, and an equal one stops at `p0`,
+      so when the cursor reaches `p0` the infinite etas and then the
+      head lie left of it in rank order. The positive members `p0` pulls
+      walk past the head. So do those each head glyph pulls when the
+      cursor then visits the head from its last glyph to its first:
+      everything positive in its closure that is still right of it, `p0`
+      included. All of them land after the infinite etas in one block,
+      sorted by eta like any block. The positive items therefore move
+      as in a sweep of them alone in which a *marker*, ranked between
+      the infinite etas and `p0`, owns that block. `_place` gets the
+      marker there, and the marker's walk takes `p0`'s components and
+      then the head glyphs in reverse rank order, passing through them
+      as through any id outside its list. With an empty head, the
+      marker's block is the one `p0` would own.
     - Each lazy item ends in the block of its last puller, its *owner*:
-      its leftmost non-lazy container, direct or not, in that sweep's
-      result. A block ends in depth-first postorder from its owner:
-      components in stored order, each node at its first visit. A path
-      from an owner to an item it owns passes only through items it
-      owns, so the walk descends into those alone, and each lazy item is
-      reached once.
-    - Lazy items with no non-lazy container at all stay at the end, in the
+      its leftmost container, direct or not, in that sweep's result,
+      among the positive items and the head glyphs still in the head.
+      The cursor visits the head after every item placed right of the
+      marker and before every item left of it. So at the marker's place
+      the head glyphs that no owner to its left claimed stand in rank
+      order, each the owner of its own block, and a head glyph pulls
+      the lazy items it reaches after every owner to its right.
+    - A block ends in depth-first postorder from its owner: components
+      in stored order, each node at its first visit. A path from an
+      owner to an item it owns passes only through items it owns, so the
+      walk descends into those alone, and each lazy item is reached once.
+    - Lazy items with no such container at all stay at the end, in the
       order a sweep of them alone gives.
-
-    This needs the lazy items to be the ranking's tail and every other
-    eta to be positive. A zero-cost item of zero frequency ranks first
-    with eta 0, so a pool that ranks one ahead of a positive eta is not
-    eta-monotone: there nothing is lazy and the whole ranking takes the
-    sweep itself.
     """
-    pool = expand_selection(net, select)
-    ranked = table.ranked(pool)
-    entries = table.entries
-    # Index 2 of an entry is its eta.
-    eta = {glyph: entries[glyph][2] for glyph in ranked}
-    cut = len(ranked)
-    while cut and eta[ranked[cut - 1]] == 0:
-        cut -= 1
-    repair = _place
-    if not all(eta[glyph] > 0 for glyph in ranked[:cut]):
-        cut = len(ranked)
-        repair = _repair
-    lazy = set(ranked[cut:])
-
     nodes = net._nodes
+    entries = table.entries
+    ranked = table.ranked(expand_selection(net, select))
+    # Index 2 of an entry is its eta, index 1 its cost; index 2 of a node
+    # is its components.
+    eta = {glyph: entries[glyph][2] for glyph in ranked}
+    components = {glyph: nodes[glyph][2] for glyph in ranked}
+    # Zero costs rank first: the infinite etas, then the head.
+    free = 0
+    while free < len(ranked) and not entries[ranked[free]][1]:
+        free += 1
+    head = [glyph for glyph in ranked[:free] if not eta[glyph]]
+    cut = free - len(head)
+    listed = [glyph for glyph in ranked if eta[glyph]]
+    first = components[listed[cut]] if cut < len(listed) else ()
+    listed.insert(cut, _MARKER)
+    components[_MARKER] = (*first, *reversed(head))
+    lazy = {glyph for glyph in ranked if not eta[glyph]}
+
     order: list[str] = []
-    for owner in repair(net, ranked[:cut], eta):
-        for comp in nodes[owner][2]:
+    for owner in _place(components, listed, eta):
+        # The marker's postorder holds the head glyphs still unclaimed, in
+        # rank order, each right after its block.
+        held = components[owner] if owner else head
+        for comp in held:
             if comp in lazy:
                 break
         else:
@@ -198,25 +226,27 @@ def priority_topo_sort(net: DecompositionNetwork, table: CentralityTable,
             continue
         # Postorder from the owner through the lazy items no owner to
         # its left has claimed, the owner itself last.
-        stack = [(owner, iter(nodes[owner][2]))]
+        stack = [(owner, iter(held))]
         while stack:
-            glyph, components = stack[-1]
-            for comp in components:
+            glyph, pending = stack[-1]
+            for comp in pending:
                 if comp in lazy:
                     lazy.remove(comp)
-                    stack.append((comp, iter(nodes[comp][2])))
+                    stack.append((comp, iter(components[comp])))
                     break
             else:
                 stack.pop()
                 order.append(glyph)
-    order += repair(net, [glyph for glyph in ranked[cut:] if glyph in lazy], eta)
+    order.remove(_MARKER)
+    order += _place(components, [glyph for glyph in ranked if glyph in lazy], eta)
     return LearningOrder(items=_make_items(table, order),
                          provenance=Provenance.OPTIMIZED)
 
 
-def _place(net: DecompositionNetwork, ranked: list[str],
+def _place(components: dict[str, tuple[str, ...]], ranked: list[str],
            eta: dict[str, float]) -> list[str]:
-    """`_repair`'s result for an eta-monotone `ranked`, built directly.
+    """The sweep's result for an eta-monotone `ranked`, built directly;
+    `components` maps every id a walk can meet to its components.
 
     An item's *owner* is the highest-ranked item of the list that ranks
     above it and whose closure contains it. An item with no owner keeps
@@ -247,7 +277,7 @@ def _place(net: DecompositionNetwork, ranked: list[str],
     - claimed and walked into, when it is a member of the list being
       arranged that is neither scanned nor claimed yet;
     - walked through, once per list, when it is outside `ranked`: the
-      lazy tail that `priority_topo_sort` leaves out, whose components
+      lazy items that `priority_topo_sort` leaves out, whose components
       may be ranked;
     - skipped otherwise, which is exact because it holds nothing the
       walk could still claim. An id the scan or a claim took already
@@ -267,7 +297,6 @@ def _place(net: DecompositionNetwork, ranked: list[str],
     inside one another cost about n^2 / 2 walk steps; the languages
     `perfbench/synth.py` generates nest at most four levels deep.
     """
-    nodes = net._nodes
     fixed = set(ranked)
     order: list[str] = []
     # Lists still to arrange, and ids whose blocks are already in `order`.
@@ -287,8 +316,7 @@ def _place(net: DecompositionNetwork, ranked: list[str],
                 continue
             below.remove(glyph)
             block: list[str] = []
-            # Index 2 of a node is its components.
-            walk = [iter(nodes[glyph][2])] if below else []
+            walk = [iter(components[glyph])] if below else []
             while walk:
                 for comp in walk[-1]:
                     if comp in below:
@@ -302,7 +330,7 @@ def _place(net: DecompositionNetwork, ranked: list[str],
                         continue
                     else:
                         passed.add(comp)
-                    walk.append(iter(nodes[comp][2]))
+                    walk.append(iter(components[comp]))
                     break
                 else:
                     walk.pop()
@@ -315,58 +343,6 @@ def _place(net: DecompositionNetwork, ranked: list[str],
             else:
                 # A block of at most one id is arranged already.
                 stack += block
-    return order
-
-
-def _repair(net: DecompositionNetwork, ranked: list[str],
-            eta: dict[str, float]) -> list[str]:
-    """The repair sweep of `priority_topo_sort` over `ranked` alone;
-    closure members outside it are left where they are.
-
-    Only rankings that are not eta-monotone take this path: zero-cost
-    items of zero frequency rank first with eta 0, ahead of positive
-    etas. `_place` builds the same result for every other ranking.
-
-    The list is doubly linked by glyph id and keeps no positions. Every
-    move lands left of the cursor and the cursor only walks left, so the
-    items right of the cursor are exactly those it has passed and that
-    have not moved since (`swept`). A move unlinks the member and walks
-    left from the cursor past items of lower eta. Each cursor visit scans
-    one closure and a moved member is visited again, so the sweep makes
-    len(ranked) + moves visits, each costing one closure scan plus one
-    walk per move; a shared component is moved again by every container
-    that ranks above it.
-    """
-    # None is the sentinel joining both ends of a circular list.
-    ring = [None, *ranked]
-    prev = dict(zip(ring, ring[-1:] + ring[:-1]))
-    nxt = dict(zip(ring, ring[1:] + ring[:1]))
-    swept: set[str] = set()
-
-    glyph = prev[None]
-    while glyph is not None:
-        for member in net.closure(glyph):
-            if member not in swept:
-                continue
-            swept.discard(member)
-            before, after = prev[member], nxt[member]
-            nxt[before] = after
-            prev[after] = before
-            eta_m = eta[member]
-            left = prev[glyph]
-            while left is not None and eta[left] < eta_m:
-                left = prev[left]
-            right = nxt[left]
-            prev[member], nxt[member] = left, right
-            nxt[left] = prev[right] = member
-        swept.add(glyph)
-        glyph = prev[glyph]
-
-    order = []
-    glyph = nxt[None]
-    while glyph is not None:
-        order.append(glyph)
-        glyph = nxt[glyph]
     return order
 
 

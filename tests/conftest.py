@@ -3,7 +3,8 @@
 The oracles here are deliberately naive re-derivations of the contracts,
 written before the library and kept frozen: a quadratic-time
 transcription of the repair sweep that re-scans the list instead of
-maintaining positions, a permutation-filter enumerator of topological
+maintaining positions, the linked-list sweep the library ran before it
+built that result directly, a permutation-filter enumerator of topological
 orders, a brute-force search that scores each candidate with `curve`,
 clustering statistics from per-component position lists searched by
 bisection, the line reader, decomposition and frequency parsers, network
@@ -175,6 +176,55 @@ def oracle_sweep(net: DecompositionNetwork, table: CentralityTable,
         pool.add(glyph)
         pool.update(net.closure(glyph))
     return oracle_sweep_from(net, table, table.ranked(pool))
+
+
+def oracle_linked_sweep(net: DecompositionNetwork, ranked: list[str],
+                        eta: dict[str, float]) -> list[str]:
+    """The repair sweep over `ranked` alone, as the library ran it before
+    it built the result directly; closure members outside it are left
+    where they are. Fast enough for networks of thousands of nodes.
+
+    The list is doubly linked by glyph id and keeps no positions. Every
+    move lands left of the cursor and the cursor only walks left, so the
+    items right of the cursor are exactly those it has passed and that
+    have not moved since (`swept`). A move unlinks the member and walks
+    left from the cursor past items of lower eta. Each cursor visit scans
+    one closure and a moved member is visited again, so the sweep makes
+    len(ranked) + moves visits, each costing one closure scan plus one
+    walk per move; a shared component is moved again by every container
+    that ranks above it.
+    """
+    # None is the sentinel joining both ends of a circular list.
+    ring = [None, *ranked]
+    prev = dict(zip(ring, ring[-1:] + ring[:-1]))
+    nxt = dict(zip(ring, ring[1:] + ring[:1]))
+    swept: set[str] = set()
+
+    glyph = prev[None]
+    while glyph is not None:
+        for member in net.closure(glyph):
+            if member not in swept:
+                continue
+            swept.discard(member)
+            before, after = prev[member], nxt[member]
+            nxt[before] = after
+            prev[after] = before
+            eta_m = eta[member]
+            left = prev[glyph]
+            while left is not None and eta[left] < eta_m:
+                left = prev[left]
+            right = nxt[left]
+            prev[member], nxt[member] = left, right
+            nxt[left] = prev[right] = member
+        swept.add(glyph)
+        glyph = prev[glyph]
+
+    order = []
+    glyph = nxt[None]
+    while glyph is not None:
+        order.append(glyph)
+        glyph = nxt[glyph]
+    return order
 
 
 def enumerate_topological(net: DecompositionNetwork, pool: set[str]):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,17 +14,18 @@ from glyphorder.metrics import CostMode, curve
 from glyphorder.ingest import parse_target_list
 from glyphorder.network import (DecompositionNetwork, GlyphKind, GlyphNode, UnknownId,
                                 build_network)
-from glyphorder.ordering import (Provenance, TooLarge, Violation, _place, _repair,
+from glyphorder.ordering import (Provenance, TooLarge, Violation, _place,
                                  brute_force_best_order, expand_selection, external_order,
                                  kahn_order, priority_topo_sort, pure_frequency_order,
                                  serialize_order_csv, target_pool, validate_topological)
 from glyphorder.words import WordNetworkConfig, expand_with_words
 
 from conftest import (DATA_DIR, enumerate_topological, oracle_brute_force,
-                      oracle_expand_selection, oracle_place, oracle_sweep, oracle_sweep_from,
-                      oracle_validate_topological, random_centralities, random_network,
-                      table_from_counts)
+                      oracle_expand_selection, oracle_linked_sweep, oracle_place, oracle_sweep,
+                      oracle_sweep_from, oracle_validate_topological, random_centralities,
+                      random_network, table_from_counts)
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 P = GlyphKind.PRIMITIVE_CHARACTER
 C = GlyphKind.COMPOUND
 
@@ -130,13 +132,52 @@ def test_wide_closure_walk_matches_oracle():
     assert validate_topological(net, got) == []
 
 
+def test_head_pulls_positive_glyphs_across_itself():
+    # H and G are known and never seen: eta 0, ranked right after the
+    # infinite etas. P pulls a and z across H first, then H pulls b,
+    # which lands right of a, its equal. G holds P, so it pulls P across
+    # too, and P then pulls a and z in front of itself again.
+    net = build_network([
+        GlyphNode("a", P, (), 1),
+        GlyphNode("b", P, (), 1),
+        GlyphNode("z", P, (), 1),
+        GlyphNode("P", C, ("a", "z"), 2),
+        GlyphNode("H", C, ("b", "z"), 2),
+        GlyphNode("G", GlyphKind.VARIANT, ("P",), 2),
+    ])
+    table = CentralityTable({
+        "G": Centrality(f=0.0, c=0.0, eta=0.0),
+        "H": Centrality(f=0.0, c=0.0, eta=0.0),
+        "P": Centrality(f=0.5, c=1.0, eta=0.5),
+        "a": Centrality(f=0.2, c=1.0, eta=0.2),
+        "b": Centrality(f=0.2, c=1.0, eta=0.2),
+        "z": Centrality(f=0.1, c=1.0, eta=0.1),
+    })
+    for select, expected in (({"P", "H"}, ["a", "b", "z", "H", "P"]),
+                             ({"G", "H"}, ["a", "z", "P", "b", "G", "H"])):
+        assert oracle_sweep(net, table, select)[0] == expected
+        assert priority_topo_sort(net, table, select).ids() == expected
+
+
 def sparse_centralities(rng, net, zero_freq_share, zero_cost):
     """Centralities by the library's eta convention from small integer
     counts and a few costs, so etas tie often. `zero_freq_share` of the
     glyphs never occur; `zero_cost` is "none", "frequent" (only glyphs
-    that occur may cost 0, so every eta-0 glyph has a positive cost) or
-    "any" (zero-cost glyphs of zero frequency too)."""
+    that occur may cost 0, so every eta-0 glyph has a positive cost),
+    "any" (zero-cost glyphs of zero frequency too) or "known" (the
+    library's `centralities` of those counts, with all primitives known,
+    random compounds known, both, or random compounds suppressed to 0)."""
     counts = {g: 0 if rng.random() < zero_freq_share else rng.randint(1, 4) for g in net.ids()}
+    if zero_cost == "known":
+        primitives = {node.id for node in net.nodes() if node.kind.is_primitive}
+        some = {node.id for node in net.nodes() if node.kind is C and rng.random() < 0.1}
+        params = rng.choice([CostParams(known=frozenset(primitives)),
+                             CostParams(known=frozenset(some)),
+                             CostParams(known=frozenset(primitives | some)),
+                             CostParams(suppression=dict.fromkeys(some, 0.0))])
+        # A frequency table needs one token at least; x-0 is in every network.
+        occurring = {g: count for g, count in counts.items() if count} or {"x-0": 1}
+        return table_from_counts(net, occurring, params)
     total = sum(counts.values()) or 1
     entries = {}
     for glyph, count in counts.items():
@@ -149,10 +190,11 @@ def sparse_centralities(rng, net, zero_freq_share, zero_cost):
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), zero_freq_share=st.sampled_from([0.2, 0.5, 0.8]),
-       zero_cost=st.sampled_from(["none", "frequent", "any"]))
+       zero_cost=st.sampled_from(["none", "frequent", "any", "known"]))
 def test_zero_frequency_glyphs_match_oracle(seed, zero_freq_share, zero_cost):
-    # Zero-frequency glyphs of positive cost are placed without being
-    # swept; zero-cost glyphs of zero frequency turn that off.
+    # Eta-0 glyphs are placed after the positive etas: the zero-frequency
+    # tail of positive cost, and the zero-cost head of zero frequency,
+    # whose glyphs pull positive members across themselves.
     rng = random.Random(seed)
     net = random_network(rng, max_nodes=rng.choice([12, 40, 80]), sparse=rng.random() < 0.3)
     table = sparse_centralities(rng, net, zero_freq_share, zero_cost)
@@ -220,27 +262,46 @@ def test_nested_blocks_match_the_closure_oracle():
     net = build_network(nodes)
     eta = {glyph: e / n**2 for glyph, e in etas.items()}
     ranked = sorted(eta, key=lambda glyph: -eta[glyph])
-    placed = _place(net, ranked, eta)
+    placed = _place({node.id: node.components for node in net.nodes()}, ranked, eta)
     assert placed == oracle_place(net, ranked, eta)
     assert validate_topological(net, placed) == []
+
+
+def test_linked_sweep_matches_the_naive_sweep():
+    # Both transcribe the sweep, over any initial list.
+    rng = random.Random(20261019)
+    for _ in range(300):
+        net = random_network(rng, max_nodes=18)
+        table = sparse_centralities(rng, net, rng.choice([0.2, 0.5]),
+                                    rng.choice(["none", "any", "known"]))
+        ids = list(net.ids())
+        initial = sorted(expand_selection(net, rng.sample(ids, rng.randint(1, len(ids)))))
+        rng.shuffle(initial)
+        eta = {glyph: table.eta(glyph) for glyph in initial}
+        assert oracle_linked_sweep(net, initial, eta) == oracle_sweep_from(net, table, initial)[0]
 
 
 def sweep_and_placement(net, table, select):
     ranked = table.ranked(expand_selection(net, select))
     eta = {glyph: table.eta(glyph) for glyph in ranked}
-    return _repair(net, ranked, eta), _place(net, ranked, eta)
+    return oracle_linked_sweep(net, ranked, eta), priority_topo_sort(net, table, select).ids()
 
 
-@pytest.mark.parametrize("distinct_eta", [True, False], ids=["distinct", "tied"])
+@pytest.mark.parametrize("etas", ["distinct", "tied", "known"])
 @pytest.mark.parametrize("whole", [True, False], ids=["whole", "subset"])
-def test_placement_matches_the_sweep_on_large_networks(distinct_eta, whole):
-    # Too large for the naive oracle, so the sweep itself is the reference.
-    rng = random.Random(9001 + 2 * distinct_eta + whole)
+def test_placement_matches_the_sweep_on_large_networks(etas, whole):
+    # Too large for the naive oracle, so the linked sweep is the
+    # reference. "known" tables rank a zero-cost head of known compounds
+    # and never-seen glyphs ahead of the positive etas.
+    rng = random.Random(9001 + 2 * (etas == "distinct") + 4 * (etas == "known") + whole)
     for _ in range(2):
         net = random_network(rng, max_nodes=3000, sparse=rng.random() < 0.5)
         while len(net) < 1000:
             net = random_network(rng, max_nodes=3000, sparse=rng.random() < 0.5)
-        table = random_centralities(rng, net, distinct_eta=distinct_eta)
+        if etas == "known":
+            table = sparse_centralities(rng, net, 0.5, "known")
+        else:
+            table = random_centralities(rng, net, distinct_eta=etas == "distinct")
         ids = list(net.ids())
         select = set(ids) if whole else set(rng.sample(ids, rng.randint(1, len(ids) // 3)))
         swept, placed = sweep_and_placement(net, table, select)
@@ -248,8 +309,8 @@ def test_placement_matches_the_sweep_on_large_networks(distinct_eta, whole):
 
 
 def test_hub_under_many_containers_is_placed_once():
-    # The sweep pulls h left again for each of the 300 containers; the
-    # placement puts it once, in the block of the highest-ranked one.
+    # The sweep pulls h left again for each of the 300 containers;
+    # priority_topo_sort puts it once, in the block of the highest-ranked one.
     k = 300
     net = build_network([GlyphNode("h", P, (), 1)]
                         + [GlyphNode("p%d" % i, P, (), 1) for i in range(k)]
@@ -262,7 +323,6 @@ def test_hub_under_many_containers_is_placed_once():
     expected = ["p0", "h", "C0"] + [g for i in range(1, k) for g in ("p%d" % i, "C%d" % i)]
     swept, placed = sweep_and_placement(net, table, set(net.ids()))
     assert placed == swept == expected
-    assert priority_topo_sort(net, table, set(net.ids())).ids() == expected
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -294,8 +354,9 @@ def test_placement_and_expansion_match_the_closure_oracles(seed, shape, lazy_sha
     eta = {glyph: table.eta(glyph) for glyph in ranked}
     listed = [glyph for glyph in ranked if eta[glyph] > 0]
     lazy = [glyph for glyph in ranked if eta[glyph] == 0]
-    assert _place(net, listed, eta) == oracle_place(net, listed, eta)
-    assert _place(net, lazy, eta) == oracle_place(net, lazy, eta)
+    components = {node.id: node.components for node in net.nodes()}
+    assert _place(components, listed, eta) == oracle_place(net, listed, eta)
+    assert _place(components, lazy, eta) == oracle_place(net, lazy, eta)
 
     # The first absent id, in selection order, is the one named.
     absent = select[:]
@@ -310,24 +371,23 @@ def test_placement_and_expansion_match_the_closure_oracles(seed, shape, lazy_sha
 
 def test_placement_builds_no_closures(monkeypatch, mini_net, mini_freq, mini_table,
                                       mini_word_freq):
-    # Eta-monotone pools are placed by walking components; only the
-    # repair sweep, which a zero-cost glyph of zero frequency ranked
-    # first selects, reads closures.
+    # Every pool is placed by walking components, those with known
+    # glyphs of zero frequency ranked ahead of positive etas too.
     def refuse(self, glyph):
         raise AssertionError("closure(%s) called" % glyph)
 
-    known = frozenset(node.id for node in mini_net.nodes() if node.kind.is_primitive)
-    known_table = centralities(mini_net, mini_freq, CostParams(known=known))
+    primitives = frozenset(node.id for node in mini_net.nodes() if node.kind.is_primitive)
+    variants = frozenset((GOLDEN / "known_variants.txt").read_text(encoding="utf-8").split())
     monkeypatch.setattr(DecompositionNetwork, "closure", refuse)
     words_net, word_freq, _ = expand_with_words(mini_net, mini_word_freq, WordNetworkConfig())
-    words_table = centralities(words_net, word_freq, CostParams())
+    tables = [(mini_net, mini_table), (words_net, centralities(words_net, word_freq, CostParams()))]
+    tables += [(mini_net, centralities(mini_net, mini_freq, CostParams(known=known)))
+               for known in (primitives, variants)]
     targets = parse_target_list((DATA_DIR / "target_basic.txt").read_text(encoding="utf-8"))
-    for net, table in ((mini_net, mini_table), (words_net, words_table)):
+    for net, table in tables:
         for select in (set(net.ids()), target_pool(net, targets)[0]):
             order = priority_topo_sort(net, table, select)
             assert validate_topological(net, order) == []
-    with pytest.raises(AssertionError, match="closure"):
-        priority_topo_sort(mini_net, known_table, set(mini_net.ids()))
 
 
 def test_output_valid_and_permutation_random():
