@@ -72,6 +72,21 @@ BROKEN = {
                                 "明白\tw\t明 白\t0\n明白白\tc\t明白 白\t13\n"),
     "error-zero-count": ("char_freq.tsv", "的\t9000\n", "的\t0\n"),
     "error-cycle": ("decompositions.tsv", "口\tp\t-\t3\n", "口\tc\t品 日\t3\n"),
+    "error-negative-strokes": ("decompositions.tsv", "日\tp\t-\t4\n", "日\tp\t-\t-4\n"),
+    # Accepted: "-0" reads as 0 strokes, so 日 costs exactly 1.
+    "strokes-minus-zero": ("decompositions.tsv", "日\tp\t-\t4\n", "日\tp\t-\t-0\n"),
+    "error-empty-id": ("decompositions.tsv", "日\tp\t-\t4\n", "\tp\t-\t4\n"),
+    "error-dash-id": ("decompositions.tsv", "日\tp\t-\t4\n", "-\tp\t-\t4\n"),
+    "error-comma-id": ("decompositions.tsv", "日\tp\t-\t4\n", "日,月\tp\t-\t4\n"),
+    "error-primitive-with-components": ("decompositions.tsv", "日\tp\t-\t4\n",
+                                        "日\tp\t口\t4\n"),
+    "error-variant-no-component": ("decompositions.tsv", "灬\tv\t火\t4\n", "灬\tv\t-\t4\n"),
+    "error-compound-one-component": ("decompositions.tsv", "召\tc\t刀 口\t5\n",
+                                     "召\tc\t刀\t5\n"),
+    "error-freq-field-count": ("char_freq.tsv", "是\t3000\n", "是\t3000\t1\n"),
+    "error-whitespace-token": ("char_freq.tsv", "是\t3000\n", "是 不\t3000\n"),
+    "error-repeated-token": ("char_freq.tsv", "是\t3000\n", "的\t3000\n"),
+    "error-fractional-count": ("char_freq.tsv", "是\t3000\n", "是\t3.5\n"),
 }
 _FLAGS = {"decompositions.tsv": "--decompositions", "char_freq.tsv": "--frequencies"}
 

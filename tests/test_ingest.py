@@ -53,10 +53,22 @@ def test_parse_decompositions_comments_and_blanks():
     (" 口\tp\t-\t3\n", "id starts with a space"),
     # The order CSV separates fields by commas, so it could not carry this id.
     ("a,b\tp\t-\t3\n", "id contains a comma"),
+    # Records failing two checks report the first in the contract's order.
+    ("a b\tq\t-\tx\n", "unknown kind before strokes and id"),
+    ("\tp\t-\t-3\n", "negative strokes before empty id"),
+    ("a,b\tp\t-\t-0\n", "comma after strokes of -0"),
 ])
 def test_parse_decompositions_errors(bad, what):
     with pytest.raises(ParseError, match="^line 1: "):
         parse_decompositions(bad)
+    assert _raised(parse_decompositions, bad) == _raised(oracle_parse_decompositions, bad)
+
+
+def _raised(parse, text):
+    """The type and message of the exception `parse(text)` raises."""
+    with pytest.raises(Exception) as err:
+        parse(text)
+    return type(err.value), str(err.value)
 
 
 def test_parse_error_carries_line_number():
@@ -104,6 +116,11 @@ def test_parse_frequencies_errors():
     for token in (" ", "口 ", "口\u3000日"):
         with pytest.raises(ParseError, match="^line 2: token .* contains whitespace$"):
             parse_frequencies("口\t5\n%s\t7\n" % token)
+    # The type and message match the oracle's, also where a record fails
+    # two checks and the first in the contract's order must be named.
+    for text in ("# nothing\n", "A\t3\nA\t1\n", "A\t0\n", "A\t3.5\n", "A\t+5\n", "A 3\n",
+                 "口\t5\n\t7\n", "口\t5\n口 \t7\n", "A\t1\nA\tx\n", " \t0\n"):
+        assert _raised(parse_frequencies, text) == _raised(oracle_parse_frequencies, text)
 
 
 def test_parse_order_and_duplicates():

@@ -11,7 +11,7 @@ from glyphorder.network import (CycleDetected, DanglingReference, DuplicateId, G
                                 GlyphNode, InvalidNode, UnknownId, build_network)
 from glyphorder.words import WordNetworkConfig, expand_with_words
 
-from conftest import DATA_DIR, oracle_closure, random_network
+from conftest import DATA_DIR, oracle_build_network, oracle_closure, random_network
 
 P = GlyphKind.PRIMITIVE_CHARACTER
 PC = GlyphKind.PRIMITIVE_COMPONENT
@@ -163,11 +163,16 @@ def test_dangling_reference_names_the_id():
     GlyphNode("A", W, ("B",), 0),
     GlyphNode("", P, (), 1),
     GlyphNode("A", P, (), -1),
+    # Three checks fail; the empty id is named.
+    GlyphNode("", V, (), -1),
 ])
 def test_shape_violations_rejected(node):
     support = [GlyphNode("B", P, (), 1), GlyphNode("C", P, (), 1)]
-    with pytest.raises(InvalidNode):
+    with pytest.raises(InvalidNode) as got:
         build_network(support + [node])
+    with pytest.raises(InvalidNode) as want:
+        oracle_build_network(support + [node])
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_word_used_as_component_rejected():
