@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .ingest import FrequencyTable
 from .network import DecompositionNetwork, GlyphKind, GlyphNode
@@ -59,20 +59,7 @@ class CostParams:
 
 def cost(node: GlyphNode, params: CostParams) -> float:
     """Learning cost of one node under `params`."""
-    if node.id in params.known:
-        return 0.0
-    kind = node.kind
-    if kind.is_primitive:
-        # Decimal parameters should yield decimal costs: gamma 0.1 with 7
-        # strokes is exactly 1.7, not 1 + 0.7000000000000001.
-        base = round(1.0 + params.gamma * node.strokes, 12)
-    elif kind is _VARIANT:
-        base = params.variant_cost
-    else:
-        # Compound and word: one combination per extra component, with
-        # multiplicity, so a repeated component is paid for again.
-        base = float(len(node.components) - 1)
-    return base * params.suppression.get(node.id, 1.0)
+    return next(_centrality_items((node,), {}, params))[1].c
 
 
 class Centrality(NamedTuple):
@@ -125,35 +112,34 @@ def benefit_ratio(f: float, c: float) -> float:
 
 def centralities(net: DecompositionNetwork, freq: FrequencyTable,
                  params: CostParams) -> CentralityTable:
-    """Compute f, c, and eta for every node of the network.
+    """Compute f, c, and eta for every node of the network."""
+    return CentralityTable(entries=dict(_centrality_items(net.nodes(), freq.entries, params)))
 
-    `cost` and `benefit_ratio`, inlined: the same operations on the same
-    values, without two calls and the parameter lookups per node.
-    """
-    shares = freq.entries
+
+def _centrality_items(nodes: Iterable[GlyphNode], shares: dict[str, float],
+                      params: CostParams) -> Iterator[tuple[str, Centrality]]:
+    """Each node's id and centrality, its share read from `shares`: the
+    cost model of the module docstring, written once."""
     known = params.known
     gamma = params.gamma
     variant_cost = params.variant_cost
     suppression = params.suppression
     variant = _VARIANT
-    inf = math.inf
     new = tuple.__new__
-    entries = {}
-    for glyph, kind, components, strokes in net.nodes():
-        f = shares.get(glyph, 0.0)
+    for glyph, kind, components, strokes in nodes:
         if glyph in known:
             c = 0.0
         else:
             if kind.is_primitive:
+                # Decimal parameters should yield decimal costs: gamma 0.1
+                # with 7 strokes is exactly 1.7, not 1 + 0.7000000000000001.
                 c = round(1.0 + gamma * strokes, 12)
             elif kind is variant:
                 c = variant_cost
             else:
+                # Compound and word: one combination per extra component,
+                # with multiplicity, so a repeated component is paid again.
                 c = float(len(components) - 1)
             c *= suppression.get(glyph, 1.0)
-        if c == 0.0:
-            eta = inf if f > 0.0 else 0.0
-        else:
-            eta = f / c
-        entries[glyph] = new(Centrality, (f, c, eta))
-    return CentralityTable(entries=entries)
+        f = shares.get(glyph, 0.0)
+        yield glyph, new(Centrality, (f, c, benefit_ratio(f, c)))

@@ -46,7 +46,6 @@ _FILE_KINDS = {kind.code: kind for kind in (GlyphKind.PRIMITIVE_CHARACTER,
 _ORDER_CSV_HEADER = "rank,glyph,"
 _CONTENT_LINE = re.compile(r"^[^#\r\n][^\r\n]*", re.MULTILINE)
 _INTEGER = re.compile(r"-?[0-9]+")
-_SPACE = re.compile(r"\s")
 
 
 def _strip_bom(text: str) -> str:
@@ -115,14 +114,14 @@ def _integer(field: str, lineno: int, what: str) -> int:
     raise ParseError("line %d: non-integer %s %r" % (lineno, what, field))
 
 
-def _check_spelling(token: str, lineno: int, what: str) -> None:
-    """Reject an empty token or one holding whitespace. A glyph id must be
-    writable in a whitespace-separated components field, so it is
-    neither, and a frequency token that is either could match no id."""
+def _check_spelling(token: str, lineno: int, what: str) -> NoReturn:
+    """Reject a token that `str.split` does not keep whole: one that is
+    empty or holds whitespace. A glyph id must be writable in a
+    whitespace-separated components field, so it is neither, and a
+    frequency token that is either could match no id."""
     if not token:
         raise ParseError("line %d: empty %s" % (lineno, what))
-    if _SPACE.search(token):
-        raise ParseError("line %d: %s %r contains whitespace" % (lineno, what, token))
+    raise ParseError("line %d: %s %r contains whitespace" % (lineno, what, token))
 
 
 def _items(text: str, what: str) -> list[str]:
@@ -139,10 +138,9 @@ def _items(text: str, what: str) -> list[str]:
 def parse_decompositions(text: str) -> list[GlyphNode]:
     """Parse decomposition records into nodes, in file order.
 
-    A record passes the tests inline when its four fields hold a known
-    kind, ASCII digits and an id that is not empty or "-" and holds no
-    whitespace or comma (`str.split` splits at exactly the characters
-    that `_SPACE` matches); `_decomposition_record` checks the others.
+    Each record is checked in turn for its field count, kind, strokes
+    and id, and the first check to fail raises. A stroke count of "-0"
+    reads as 0.
     """
     kinds = _FILE_KINDS
     new = tuple.__new__
@@ -154,49 +152,35 @@ def parse_decompositions(text: str) -> list[GlyphNode]:
         try:
             glyph, kind_code, comps_field, strokes_field = line.split("\t")
         except ValueError:
-            append(_decomposition_record(lineno, line))
-            continue
+            raise ParseError("line %d: expected 4 tab-separated fields, got %d"
+                             % (lineno, line.count("\t") + 1)) from None
         kind = kinds.get(kind_code)
-        if (kind is None or not (strokes_field.isdigit() and strokes_field.isascii())
-                or glyph.split() != [glyph] or glyph == "-" or "," in glyph):
-            append(_decomposition_record(lineno, line))
-            continue
+        if kind is None:
+            raise ParseError("line %d: unknown kind %r" % (lineno, kind_code))
+        if strokes_field.isdigit() and strokes_field.isascii():
+            strokes = int(strokes_field)
+        else:
+            strokes = _integer(strokes_field, lineno, "strokes")
+            if strokes < 0:
+                raise ParseError("line %d: negative strokes" % lineno)
+        # An id must be writable in a components field.
+        if glyph.split() != [glyph]:
+            _check_spelling(glyph, lineno, "glyph id")
+        if glyph == "-":
+            raise ParseError("line %d: glyph id - is the empty-components marker" % lineno)
+        # The order CSV separates its fields by commas and does not quote.
+        if "," in glyph:
+            raise ParseError("line %d: glyph id %r contains a comma" % (lineno, glyph))
         components = () if comps_field == "-" else tuple(comps_field.split())
-        append(new(GlyphNode, (glyph, kind, components, int(strokes_field))))
+        append(new(GlyphNode, (glyph, kind, components, strokes)))
     return nodes
-
-
-def _decomposition_record(lineno: int, line: str) -> GlyphNode:
-    """The node of a record that failed `parse_decompositions`' inline
-    tests: each check in turn, the first to fail raising. A stroke count
-    such as "-0" fails those tests and passes these."""
-    fields = line.split("\t")
-    if len(fields) != 4:
-        raise ParseError("line %d: expected 4 tab-separated fields, got %d" % (lineno, len(fields)))
-    glyph, kind_code, comps_field, strokes_field = fields
-    kind = _FILE_KINDS.get(kind_code)
-    if kind is None:
-        raise ParseError("line %d: unknown kind %r" % (lineno, kind_code))
-    components = () if comps_field == "-" else tuple(comps_field.split())
-    strokes = _integer(strokes_field, lineno, "strokes")
-    if strokes < 0:
-        raise ParseError("line %d: negative strokes" % lineno)
-    # An id must be writable in a components field.
-    _check_spelling(glyph, lineno, "glyph id")
-    if glyph == "-":
-        raise ParseError("line %d: glyph id - is the empty-components marker" % lineno)
-    # The order CSV separates its fields by commas and does not quote.
-    if "," in glyph:
-        raise ParseError("line %d: glyph id %r contains a comma" % (lineno, glyph))
-    return GlyphNode(glyph, kind, components, strokes)
 
 
 def parse_frequencies(text: str) -> FrequencyTable:
     """Parse `token<TAB>count` lines and normalize to shares of the total.
 
-    A record passes the tests inline when its token is new, not empty
-    and free of whitespace and its count is ASCII digits other than
-    zeros; `_frequency_error` names the first failure of the others.
+    Each record is checked in turn for its field count, token, repeat
+    and count, and the first check to fail raises.
     """
     counts: dict[str, int] = {}
     for lineno, line in enumerate(_split_lines(text), start=1):
@@ -205,31 +189,20 @@ def parse_frequencies(text: str) -> FrequencyTable:
         try:
             token, count_field = line.split("\t")
         except ValueError:
-            _frequency_error(lineno, line, counts)
-        if (count_field.isdigit() and count_field.isascii() and token.split() == [token]
-                and token not in counts):
+            raise ParseError("line %d: expected 2 tab-separated fields, got %d"
+                             % (lineno, line.count("\t") + 1)) from None
+        # A token no id can match would still dilute every share.
+        if token.split() != [token]:
+            _check_spelling(token, lineno, "token")
+        _check_new(counts, token, lineno, "token")
+        if count_field.isdigit() and count_field.isascii():
             count = int(count_field)
-            if count:
-                counts[token] = count
-                continue
-        _frequency_error(lineno, line, counts)
+        else:
+            count = _integer(count_field, lineno, "count")
+        if count <= 0:
+            raise ParseError("line %d: count must be positive" % lineno)
+        counts[token] = count
     return _normalized(counts)
-
-
-def _frequency_error(lineno: int, line: str, counts: dict[str, int]) -> NoReturn:
-    """Raise the first error of a frequency record that failed
-    `parse_frequencies`' inline tests; `counts` holds the earlier ones."""
-    fields = line.split("\t")
-    if len(fields) != 2:
-        raise ParseError("line %d: expected 2 tab-separated fields, got %d" % (lineno, len(fields)))
-    token, count_field = fields
-    # A token no id can match would still dilute every share.
-    _check_spelling(token, lineno, "token")
-    _check_new(counts, token, lineno, "token")
-    if _integer(count_field, lineno, "count") <= 0:
-        raise ParseError("line %d: count must be positive" % lineno)
-    # The inline tests and these checks reject the same records.
-    raise AssertionError("line %d passed every frequency check" % lineno)
 
 
 def parse_order(text: str) -> list[str]:

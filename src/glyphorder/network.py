@@ -107,17 +107,6 @@ _SHAPES = {
 }
 
 
-def _check_shape(node: GlyphNode) -> None:
-    glyph, kind, components, strokes = node
-    if not glyph:
-        raise InvalidNode("empty glyph id")
-    if strokes < 0:
-        raise InvalidNode("%s: negative stroke count" % glyph)
-    low, high, message = _SHAPES[kind]
-    if not low <= len(components) <= high:
-        raise InvalidNode(message.format(id=glyph, n=len(components)))
-
-
 class DecompositionNetwork:
     """Validated, immutable decomposition DAG. Build via `build_network`.
 
@@ -261,9 +250,13 @@ def _add_nodes(by_id: dict[str, GlyphNode], nodes: Iterable[GlyphNode]) -> bool:
     suspects = []
     for node in nodes:
         glyph, kind, comps, strokes = node
-        low, high, _ = shapes[kind]
-        if not low <= len(comps) <= high or not glyph or strokes < 0:
-            _check_shape(node)
+        if not glyph:
+            raise InvalidNode("empty glyph id")
+        if strokes < 0:
+            raise InvalidNode("%s: negative stroke count" % glyph)
+        low, high, message = shapes[kind]
+        if not low <= len(comps) <= high:
+            raise InvalidNode(message.format(id=glyph, n=len(comps)))
         if glyph in by_id:
             raise DuplicateId(glyph)
         for comp in comps:
