@@ -321,8 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Horizons are checked before any input file is read.
+        # Horizons and --max-n are checked before any input file is read.
         args.c0 = _horizons(args.c0)
+        if getattr(args, "max_n", None) is not None and args.max_n < 1:
+            raise ValueError("--max-n must be at least 1")
         return args.func(args)
     except CycleDetected as exc:
         print("error: %s" % exc, file=sys.stderr)

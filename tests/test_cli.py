@@ -296,6 +296,16 @@ def test_cluster_default_and_explicit(tmp_path):
     assert len(rote.splitlines()) == 6
 
 
+@pytest.mark.parametrize("value", [0, -3])
+def test_cluster_max_n_below_one_rejected_before_reading_inputs(tmp_path, capsys, value):
+    # A header-only table would report nothing, so the value is an error.
+    assert run("cluster", "--out", tmp_path, "--max-n", value,
+               "--decompositions", tmp_path / "nope.tsv") == 1
+    err = capsys.readouterr().err
+    assert err == "error: --max-n must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_words_pipeline(tmp_path):
     assert run("words", "--out", tmp_path, "--c0", 15) == 0
     names = {p.name for p in tmp_path.iterdir()}

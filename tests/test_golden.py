@@ -52,6 +52,7 @@ CASES = {
     "order-words": ["order", "--mode", "words"],
     "cluster": ["cluster"],
     "cluster-max-n": ["cluster", "--max-n", 5],
+    "error-cluster-max-n-zero": ["cluster", "--max-n", 0],
     "validate-hierarchal": ["validate", KAHN],
     "validate-rote": ["validate", ROTE],
 }
