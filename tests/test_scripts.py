@@ -1,8 +1,10 @@
 """Whole programs in fresh interpreters (the command line under two hash
-seeds, every demo script), and the package names the benchmark reaches."""
+seeds, every demo script, the modules an import loads), and the package
+names the benchmark reaches."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +62,25 @@ def test_demo_runs(tmp_path, script):
     done = python([str(script)], tmp_path)
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_only_the_declared_dependencies(tmp_path):
+    # The top-level modules outside the standard library that `import
+    # glyphorder` adds to a bare interpreter, besides glyphorder, are
+    # exactly pyproject's dependencies; each distribution here is named
+    # like its module.
+    # Site hooks (certifi, _distutils_hack) load in both runs.
+    tomllib = pytest.importorskip("tomllib")
+    probe = ("import sys; %s; print(*sorted({name.partition('.')[0] for name in sys.modules}"
+             " - sys.stdlib_module_names))")
+    loaded = []
+    for statement in ("pass", "import glyphorder"):
+        done = python(["-c", probe % statement], tmp_path)
+        assert done.returncode == 0, done.stderr
+        loaded.append(set(done.stdout.decode().split()))
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[\w.-]+", spec).group() for spec in project["dependencies"]}
+    assert loaded[1] - loaded[0] - {"glyphorder"} == declared
 
 
 def test_benchmark_names_exist():
