@@ -68,11 +68,10 @@ def test_import_loads_only_the_declared_dependencies(tmp_path):
     # The top-level modules outside the standard library that `import
     # glyphorder` adds to a bare interpreter, besides glyphorder, are
     # exactly pyproject's dependencies; each distribution here is named
-    # like its module.
-    # Site hooks (certifi, _distutils_hack) load in both runs.
+    # like its module. Site hooks (certifi, _distutils_hack) load in both.
     tomllib = pytest.importorskip("tomllib")
-    probe = ("import sys; %s; print(*sorted({name.partition('.')[0] for name in sys.modules}"
-             " - sys.stdlib_module_names))")
+    probe = ("import sys; %s; print(*{name.partition('.')[0] for name in sys.modules}"
+             " - sys.stdlib_module_names)")
     loaded = []
     for statement in ("pass", "import glyphorder"):
         done = python(["-c", probe % statement], tmp_path)
