@@ -188,6 +188,8 @@ def truncate(cv: LearningCurve, h: float) -> LearningCurve:
         raise NonPositiveHorizon("horizon must be finite and positive, got %r" % (h,))
     if h > cv.c0:
         raise ValueError("horizon %g exceeds the curve's c0 %g" % (h, cv.c0))
+    if h == cv.c0:
+        return cv
     k = bisect_right(cv.points, h, key=lambda point: point[0])
     kept = cv.points[:k]
     counts = cv.counts[:k]

@@ -1,11 +1,12 @@
 """End-to-end runs of the glyphorder command line."""
 
+import gc
 import json
 import shutil
 
 import pytest
 
-from glyphorder.cli import DATA_ENV_VAR, main
+from glyphorder.cli import DATA_ENV_VAR, _horizons, build_parser, main
 from glyphorder.ingest import parse_order, parse_order_csv
 
 from conftest import DATA_DIR
@@ -195,6 +196,57 @@ def test_validate_rote_order_exits_three(capsys):
     violations = [l for l in out.splitlines() if l.startswith("violation: ")]
     counted = [l for l in out.splitlines() if l.startswith("violations: ")]
     assert counted == ["violations: %d" % len(violations)]
+
+
+def test_main_restores_the_collector_state(tmp_path, capsys):
+    unparsable = tmp_path / "unparsable.tsv"
+    unparsable.write_text("a\tq\t-\t5\n", encoding="utf-8")
+    cyclic = tmp_path / "cyclic.tsv"
+    cyclic.write_text("a\tc\tb b\t5\nb\tc\ta a\t5\n", encoding="utf-8")
+    commands = [(0, ["order", "--out", tmp_path / "out"]),
+                (1, ["order", "--out", tmp_path, "--decompositions", unparsable]),
+                (2, ["order", "--out", tmp_path, "--decompositions", cyclic]),
+                (3, ["validate", DATA_DIR / "rote_order.txt"])]
+    try:
+        for code, argv in commands:
+            gc.enable()
+            assert run(*argv) == code
+            assert gc.isenabled()
+            gc.disable()
+            assert run(*argv) == code
+            assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("argv", [
+    ["order"],
+    ["words"],
+    ["order", "--known", "all-primitives"],
+    ["cluster"],
+    ["validate", DATA_DIR / "rote_order.txt"],
+    ["compare", DATA_DIR / "rote_order.txt", "--include-optimized",
+     "--include-pure-frequency"],
+], ids=["order", "words", "order-known", "cluster", "validate", "compare"])
+def test_commands_create_no_reference_cycles(tmp_path, capsys, argv):
+    # main pauses the cyclic collector while a command runs; that is free
+    # only while a command leaves no cyclic garbage behind.
+    if argv[0] != "validate":
+        argv = argv + ["--out", tmp_path]
+    # An argparse parser holds reference cycles: keep it alive so that
+    # only what the command leaves behind is counted.
+    parser = build_parser()
+    args = parser.parse_args([str(a) for a in argv])
+    args.c0 = _horizons(args.c0)
+    gc.collect()
+    gc.disable()
+    try:
+        code = args.func(args)
+    finally:
+        freed = gc.collect()
+        gc.enable()
+    assert code == (3 if argv[0] == "validate" else 0)
+    assert freed == 0
 
 
 def test_validate_empty_order_warns(tmp_path, capsys):

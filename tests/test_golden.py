@@ -59,8 +59,9 @@ CASES = {
 
 # One error per ingest check: the bundled file with one line replaced
 # (or, with an empty old line, one line appended), run through `order`.
-# A decompositions file cannot declare a word, so the word case is a `w`
-# record that a compound names.
+# A decompositions file cannot declare a word: the `w` record that a
+# compound names fails parsing as an unknown kind, so no file input
+# reaches the word-as-component check.
 BROKEN = {
     "error-field-count": ("decompositions.tsv", "口\tp\t-\t3\n", "口\tp\t3\n"),
     "error-unknown-kind": ("decompositions.tsv", "日\tp\t-\t4\n", "日\tq\t-\t4\n"),
@@ -69,8 +70,8 @@ BROKEN = {
     "error-duplicate-id": ("decompositions.tsv", "日\tp\t-\t4\n", "口\tp\t-\t4\n"),
     "error-dangling-component": ("decompositions.tsv", "品\tc\t口 口 口\t9\n",
                                  "品\tc\t口 口 吅\t9\n"),
-    "error-word-as-component": ("decompositions.tsv", "",
-                                "明白\tw\t明 白\t0\n明白白\tc\t明白 白\t13\n"),
+    "error-word-kind-in-decompositions": ("decompositions.tsv", "",
+                                          "明白\tw\t明 白\t0\n明白白\tc\t明白 白\t13\n"),
     "error-zero-count": ("char_freq.tsv", "的\t9000\n", "的\t0\n"),
     "error-cycle": ("decompositions.tsv", "口\tp\t-\t3\n", "口\tc\t品 日\t3\n"),
     "error-negative-strokes": ("decompositions.tsv", "日\tp\t-\t4\n", "日\tp\t-\t-4\n"),

@@ -227,6 +227,7 @@ def test_truncate_equals_fresh_curve():
         for order, mode in ((optimized, CostMode.HIERARCHAL),
                             (rote, CostMode.CHARGE_UNLEARNED)):
             wide = curve(net, order, total * 1.3, mode, cost_lookup)
+            assert truncate(wide, wide.c0) is wide
             corners = [c for c, _ in wide.points[::3]]
             for h in corners + [frac * total * 1.3 for frac in (0.15, 0.4, 0.7, 1.0)]:
                 assert truncate(wide, h) == curve(net, order, h, mode, cost_lookup)
