@@ -31,6 +31,7 @@ KNOWN_VARIANTS = GOLDEN / "known_variants.txt"  # ranks positive glyphs across a
 OPTIMIZED_CSV = GOLDEN / "optimized_order.csv"
 ROTE = DATA_DIR / "rote_order.txt"          # plain, not hierarchal
 TARGET = DATA_DIR / "target_basic.txt"
+TARGET_REPEATED = GOLDEN / "target_repeated.txt"  # names 好 twice: rejected when read
 
 CASES = {
     "plain": ["compare", KAHN],
@@ -46,15 +47,21 @@ CASES = {
     "order-known-variants": ["order", "--known", KNOWN_VARIANTS],
     "order-gamma": ["order", "--gamma", 0.25],
     "order-target": ["order", "--target", TARGET],
+    "order-target-known-primitives": ["order", "--target", TARGET, "--known", "all-primitives"],
+    "order-target-gamma": ["order", "--target", TARGET, "--gamma", 0.25],
+    # The gamma check runs before the target list is read.
+    "error-gamma-before-target": ["order", "--gamma", -1, "--target", TARGET_REPEATED],
     "words": ["words"],
     "words-target": ["words", "--target", TARGET],
     "words-known-variants": ["words", "--known", KNOWN_VARIANTS],
     "order-words": ["order", "--mode", "words"],
     "cluster": ["cluster"],
     "cluster-max-n": ["cluster", "--max-n", 5],
+    "cluster-target": ["cluster", "--target", TARGET],
     "error-cluster-max-n-zero": ["cluster", "--max-n", 0],
     "validate-hierarchal": ["validate", KAHN],
     "validate-rote": ["validate", ROTE],
+    "error-validate-gamma": ["validate", KAHN, "--gamma", -1],
 }
 
 # One error per ingest check: the bundled file with one line replaced
