@@ -85,7 +85,12 @@ def _horizons(c0: list[float] | None) -> tuple[float, ...]:
 
 
 def _load_pipeline(args):
-    """Network, frequency table, centralities and word drop report."""
+    """Network, frequency table, cost parameters and word drop report.
+
+    Each command builds the centrality table it reads from the
+    parameters: a targeted run prices only its pool, and a whole-network
+    run or one reading arbitrary orders prices every node.
+    """
     net = build_network(parse_decompositions(_read_input(args.decompositions, "decompositions.tsv")))
     dropped: list[tuple[str, str]] = []
     if args.mode == "words":
@@ -103,8 +108,7 @@ def _load_pipeline(args):
             if glyph not in net:
                 raise ValueError("known-set glyph %s is not in the network" % glyph)
 
-    table = centralities(net, freq, CostParams(gamma=args.gamma, known=known))
-    return net, freq, table, dropped
+    return net, freq, CostParams(gamma=args.gamma, known=known), dropped
 
 
 def _selection(net, args) -> tuple[set[str], list[str]]:
@@ -130,8 +134,9 @@ def _horizon_curves(net, order, horizons, mode=CostMode.HIERARCHAL, cost_lookup=
 def cmd_order(args) -> int:
     """`order`, and `words`: the same run with `words_` file names, a
     dropped-words report and its count in place of the dropped list."""
-    net, freq, table, dropped = _load_pipeline(args)
+    net, freq, params, dropped = _load_pipeline(args)
     pool, missing_targets = _selection(net, args)
+    table = centralities(net, freq, params, pool if args.target else None)
     order = priority_topo_sort(net, table, pool)
 
     prefix = "words_" if args.command == "words" else ""
@@ -167,8 +172,11 @@ def cmd_order(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    net, freq, table, dropped = _load_pipeline(args)
+    net, freq, params, dropped = _load_pipeline(args)
     pool, _ = _selection(net, args)
+    # The whole table: an order file may name any glyph, and charge mode
+    # reads the costs of members outside the order.
+    table = centralities(net, freq, params)
     cost_lookup = {glyph: c for glyph, (f, c, eta) in table.entries.items()}
 
     # Labels name the output files and comparison rows, so a repeated
@@ -236,7 +244,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    net, freq, table, dropped = _load_pipeline(args)
+    # No centralities are read, but --gamma and --known are still checked.
+    net, freq, _, _ = _load_pipeline(args)
     ids = parse_order_file(_read_input(args.order))
     if not ids:
         print("warning: empty order")
@@ -253,12 +262,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    net, freq, table, dropped = _load_pipeline(args)
+    net, freq, params, dropped = _load_pipeline(args)
     if args.order:
-        order = external_order(table, parse_order_file(_read_input(args.order)))
+        # The whole table: the order file may name any glyph.
+        order = external_order(centralities(net, freq, params),
+                               parse_order_file(_read_input(args.order)))
         label = Path(args.order).stem
     else:
         pool, _ = _selection(net, args)
+        table = centralities(net, freq, params, pool if args.target else None)
         order = priority_topo_sort(net, table, pool)
         label = "optimized"
     stats = cluster_stats(net, order, max_n=args.max_n)

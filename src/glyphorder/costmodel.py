@@ -110,10 +110,17 @@ def benefit_ratio(f: float, c: float) -> float:
     return f / c
 
 
-def centralities(net: DecompositionNetwork, freq: FrequencyTable,
-                 params: CostParams) -> CentralityTable:
-    """Compute f, c, and eta for every node of the network."""
-    return CentralityTable(entries=dict(_centrality_items(net.nodes(), freq.entries, params)))
+def centralities(net: DecompositionNetwork, freq: FrequencyTable, params: CostParams,
+                 ids: Iterable[str] | None = None) -> CentralityTable:
+    """Compute f, c, and eta for the nodes `ids`, in the order given
+    (every node of the network, in network order, by default).
+
+    Each entry depends only on its own node and frequency, so a run that
+    reads a few glyphs, such as a targeted one, prices only those.
+    Raises UnknownId for the first id absent from the network.
+    """
+    nodes = net.nodes() if ids is None else map(net.node, ids)
+    return CentralityTable(entries=dict(_centrality_items(nodes, freq.entries, params)))
 
 
 def _centrality_items(nodes: Iterable[GlyphNode], shares: dict[str, float],

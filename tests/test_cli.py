@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from glyphorder import cli
 from glyphorder.cli import DATA_ENV_VAR, _horizons, build_parser, main
 from glyphorder.ingest import parse_order, parse_order_csv
 
@@ -405,3 +406,28 @@ def test_order_with_target_list(tmp_path):
     assert summary["missing_targets"] == ["不存在"]
     ids = parse_order((tmp_path / "order.txt").read_text(encoding="utf-8"))
     assert set(ids) == {"的", "白", "勺", "好", "女", "子"}
+
+
+@pytest.mark.parametrize("command", ["order", "words", "cluster"])
+def test_a_targeted_run_prices_only_its_pool(tmp_path, monkeypatch, command):
+    # A targeted run builds its one table over the pool it orders, and an
+    # untargeted run over every node of the network.
+    tables, pools = [], []
+    real_centralities, real_sort = cli.centralities, cli.priority_topo_sort
+
+    def centralities(*args, **kwargs):
+        table = real_centralities(*args, **kwargs)
+        tables.append(set(table.entries))
+        return table
+
+    def priority_topo_sort(net, table, select):
+        pools.append((set(select), set(net.ids())))
+        return real_sort(net, table, select)
+
+    monkeypatch.setattr(cli, "centralities", centralities)
+    monkeypatch.setattr(cli, "priority_topo_sort", priority_topo_sort)
+    assert run(command, "--target", DATA_DIR / "target_basic.txt", "--out", tmp_path / "t") == 0
+    assert run(command, "--out", tmp_path / "w") == 0
+    (pool, network), (whole, _) = pools
+    assert whole == network and len(pool) < len(network)
+    assert tables == [pool, whole]

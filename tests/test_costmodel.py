@@ -7,7 +7,7 @@ import pytest
 
 from glyphorder.costmodel import CostParams, centralities, cost
 from glyphorder.ingest import FrequencyTable
-from glyphorder.network import GlyphKind, GlyphNode, build_network
+from glyphorder.network import GlyphKind, GlyphNode, UnknownId, build_network
 
 from conftest import random_network
 
@@ -154,3 +154,36 @@ def test_ranking_deterministic_random():
         etas = [table[g].eta for g in ranking]
         finite = [e for e in etas if not math.isinf(e)]
         assert finite == sorted(finite, reverse=True)
+
+
+def test_scoped_table_is_the_whole_table_restricted_to_ids():
+    # Each entry depends only on its own node and frequency, so a table
+    # over some ids holds the whole table's entries for them, in the
+    # order given.
+    rng = random.Random(21)
+    for _ in range(50):
+        net = random_network(rng, max_nodes=20)
+        ids = list(net.ids())
+        counts = {g: rng.randint(1, 50) for g in ids if rng.random() < 0.7}
+        counts.setdefault(ids[-1], 1)
+        params = CostParams(gamma=rng.choice([0.0, 0.1, 0.25]),
+                            known=frozenset(g for g in ids if rng.random() < 0.2),
+                            suppression={g: rng.choice([0.0, 1 / 3, 0.5, 1.0])
+                                         for g in ids if rng.random() < 0.2})
+        freq = FrequencyTable.from_counts(counts)
+        whole = centralities(net, freq, params)
+        assert list(whole.entries) == ids
+        scope = rng.sample(ids, rng.randint(1, len(ids)))
+        scoped = centralities(net, freq, params, scope)
+        assert list(scoped.entries) == scope
+        assert scoped.entries == {g: whole[g] for g in scope}
+        assert scoped.ranked() == whole.ranked(scope)
+
+
+def test_scoped_table_over_no_ids_is_empty(mini_net, mini_freq):
+    assert centralities(mini_net, mini_freq, CostParams(), []).entries == {}
+
+
+def test_scoped_table_rejects_an_absent_id(mini_net, mini_freq):
+    with pytest.raises(UnknownId, match="^Z$"):
+        centralities(mini_net, mini_freq, CostParams(), ["口", "Z"])

@@ -36,12 +36,15 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # their owners. The rote order is not hierarchal, so `compare` prices
     # it in charge mode and reuses the optimized order's hierarchal curve.
     # The rerun takes its known set from the glyph kinds, whose hash is
-    # that of their name.
+    # that of their name. Targeted runs build their centrality table from
+    # the target pool, a set, in both modes.
     data = ROOT / "src" / "glyphorder" / "data"
+    target = str(data / "target_basic.txt")
     commands = {"order": ["order"], "words": ["words"],
                 "compare": ["compare", str(data / "rote_order.txt"), "--include-optimized"],
                 "rerun": ["order", "--known", "all-primitives", "--gamma", "0.25",
-                          "--target", str(data / "target_basic.txt")]}
+                          "--target", target],
+                "words-target": ["words", "--target", target]}
     runs = {}
     for seed in ("1", "2"):
         cwd = tmp_path / seed
@@ -54,7 +57,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
                      for p in sorted((cwd / name).iterdir())}
             runs.setdefault(seed, []).append((done.stdout, files))
     assert runs["1"] == runs["2"]
-    assert [len(files) for _, files in runs["1"]] == [5, 6, 9, 5]
+    assert [len(files) for _, files in runs["1"]] == [5, 6, 9, 5, 6]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
