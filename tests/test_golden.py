@@ -32,6 +32,7 @@ OPTIMIZED_CSV = GOLDEN / "optimized_order.csv"
 ROTE = DATA_DIR / "rote_order.txt"          # plain, not hierarchal
 TARGET = DATA_DIR / "target_basic.txt"
 TARGET_REPEATED = GOLDEN / "target_repeated.txt"  # names 好 twice: rejected when read
+UNKNOWN = GOLDEN / "unknown_glyph.txt"      # names 不存在, which no network holds
 
 CASES = {
     "plain": ["compare", KAHN],
@@ -42,6 +43,8 @@ CASES = {
     "two-c0": ["compare", KAHN, ROTE, "--include-optimized", "--include-pure-frequency",
                "--c0", 12, "--c0", 40],
     "one-small-c0": ["compare", ROTE, OPTIMIZED_CSV, "--c0", 7.5],
+    "compare-unknown-only": ["compare", UNKNOWN],
+    "compare-unknown-and-rote": ["compare", UNKNOWN, ROTE],
     "order": ["order"],
     "order-known-primitives": ["order", "--known", "all-primitives"],
     "order-known-variants": ["order", "--known", KNOWN_VARIANTS],
