@@ -118,6 +118,14 @@ def _selection(net, args) -> tuple[set[str], list[str]]:
     return target_pool(net, parse_target_list(_read_input(args.target)))
 
 
+def _optimized(args, net, freq, params):
+    """The optimized order of the --target pool (else the whole network)
+    and the missing targets; a targeted run prices only its pool."""
+    pool, missing = _selection(net, args)
+    table = centralities(net, freq, params, pool if args.target else None)
+    return priority_topo_sort(net, table, pool), missing
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -135,9 +143,7 @@ def cmd_order(args) -> int:
     """`order`, and `words`: the same run with `words_` file names, a
     dropped-words report and its count in place of the dropped list."""
     net, freq, params, dropped = _load_pipeline(args)
-    pool, missing_targets = _selection(net, args)
-    table = centralities(net, freq, params, pool if args.target else None)
-    order = priority_topo_sort(net, table, pool)
+    order, missing_targets = _optimized(args, net, freq, params)
 
     prefix = "words_" if args.command == "words" else ""
     out = Path(args.out)
@@ -269,9 +275,7 @@ def cmd_cluster(args) -> int:
                                parse_order_file(_read_input(args.order)))
         label = Path(args.order).stem
     else:
-        pool, _ = _selection(net, args)
-        table = centralities(net, freq, params, pool if args.target else None)
-        order = priority_topo_sort(net, table, pool)
+        order, _ = _optimized(args, net, freq, params)
         label = "optimized"
     stats = cluster_stats(net, order, max_n=args.max_n)
     _write(Path(args.out) / ("%s_cluster.csv" % label), serialize_cluster_csv(stats))

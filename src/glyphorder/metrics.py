@@ -81,23 +81,27 @@ class LearningCurve:
     n_learned: int
 
 
-def _step_area(points: Sequence[tuple[float, float]], c0: float) -> float:
-    """Area under the step function on [0, c0]; F is 0 before the
-    first corner and holds each corner's value until the next.
+def _curve(points: tuple[tuple[float, float], ...], counts: tuple[int, ...],
+           c0: float) -> LearningCurve:
+    """The curve with these corners at horizon `c0`, with its summary
+    numbers: F at the last corner, the items the corners settle, and the
+    area under the step function on [0, c0] divided by c0.
 
-    Each corner contributes F times the width up to the next corner (or
-    c0), and the contributions are added in floats, left to right. That
-    fixed order keeps every caller's score bit-identical for the same
-    corners.
+    F is 0 before the first corner and holds each corner's value until
+    the next. Each corner contributes F times the width up to the next
+    corner (or c0), and the contributions are added in floats, left to
+    right. That fixed order keeps every caller's score bit-identical for
+    the same corners.
     """
-    area = 0.0
+    area = final = 0.0
     if points:
-        c, f = points[0]
-        for right, next_f in points[1:]:
-            area += f * (right - c)
-            c, f = right, next_f
-        area += f * (c0 - c)
-    return area
+        c, final = points[0]
+        for right, f in points[1:]:
+            area += final * (right - c)
+            c, final = right, f
+        area += final * (c0 - c)
+    return LearningCurve(points=points, counts=counts, c0=c0, final_efficiency=final,
+                         mean_efficiency=area / c0, n_learned=sum(counts))
 
 
 def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
@@ -109,7 +113,9 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
     item its own cost. Charge-unlearned mode accepts any order; an item
     pays for itself plus every closure member not yet learned, and those
     members still pay full price at their own positions later. Costs of
-    members outside the order come from `cost_lookup`.
+    members outside the order come from `cost_lookup`. The summary
+    numbers come from the corners alone, derived as `truncate` derives
+    them.
 
     Raises:
         NonPositiveHorizon: c0 is not finite and positive.
@@ -129,7 +135,6 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
     points: list[tuple[float, float]] = []
     counts: list[int] = []
     cum_cost = cum_freq = 0.0
-    n_learned = 0
     learned: set[str] = set()
     charge = mode is CostMode.CHARGE_UNLEARNED
     closure = net.closure
@@ -153,7 +158,6 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
         if step > c0:
             break
         cum_freq += freq
-        n_learned += 1
         if points and step == cum_cost:
             points[-1] = (step, cum_freq)
             counts[-1] += 1
@@ -161,12 +165,7 @@ def curve(net: DecompositionNetwork, order: LearningOrder, c0: float,
             points.append((step, cum_freq))
             counts.append(1)
         cum_cost = step
-
-    final = points[-1][1] if points else 0.0
-    mean = _step_area(points, c0) / c0
-    return LearningCurve(points=tuple(points), counts=tuple(counts), c0=c0,
-                         final_efficiency=final, mean_efficiency=mean,
-                         n_learned=n_learned)
+    return _curve(tuple(points), tuple(counts), c0)
 
 
 def at_horizon(cv: LearningCurve, h: float) -> tuple[int, float, float]:
@@ -180,9 +179,10 @@ def truncate(cv: LearningCurve, h: float) -> LearningCurve:
     """The stored curve cut back to a smaller horizon h, 0 < h <= cv.c0.
 
     Consumption is a prefix property, so keeping the corners with C <= h
-    and their counts reproduces a fresh evaluation at h: the result
-    equals `curve` evaluated at h. Corner costs increase strictly, so the
-    kept corners are a prefix found by bisection.
+    and their counts, and deriving the summary numbers from them as
+    `curve` does, reproduces a fresh evaluation at h: the result equals
+    `curve` evaluated at h. Corner costs increase strictly, so the kept
+    corners are a prefix found by bisection.
     """
     if not 0 < h < math.inf:
         raise NonPositiveHorizon("horizon must be finite and positive, got %r" % (h,))
@@ -191,11 +191,7 @@ def truncate(cv: LearningCurve, h: float) -> LearningCurve:
     if h == cv.c0:
         return cv
     k = bisect_right(cv.points, h, key=lambda point: point[0])
-    kept = cv.points[:k]
-    counts = cv.counts[:k]
-    return LearningCurve(points=kept, counts=counts, c0=h,
-                         final_efficiency=kept[-1][1] if kept else 0.0,
-                         mean_efficiency=_step_area(kept, h) / h, n_learned=sum(counts))
+    return _curve(cv.points[:k], cv.counts[:k], h)
 
 
 class ClusterRow(NamedTuple):

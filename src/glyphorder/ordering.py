@@ -25,6 +25,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .costmodel import CentralityTable, benefit_ratio
 from .network import DecompositionNetwork, UnknownId
 
+BRUTE_FORCE_LIMIT = 10      # the most nodes `brute_force_best_order` enumerates
+
 
 class TooLarge(Exception):
     """Brute-force enumeration refused: selection exceeds the node limit."""
@@ -369,9 +371,7 @@ def kahn_order(net: DecompositionNetwork, table: CentralityTable,
     deterministic but pays no attention to centrality.
     """
     pool = expand_selection(net, select)
-    missing = {glyph: 0 for glyph in pool}
-    for glyph in pool:
-        missing[glyph] = sum(1 for c in set(net.node(glyph).components) if c in pool)
+    missing = {glyph: len(set(net.node(glyph).components) & pool) for glyph in pool}
     queue = sorted(g for g, n in missing.items() if n == 0)
     out = []
     head = 0
@@ -421,16 +421,15 @@ def validate_topological(net: DecompositionNetwork,
 
 
 def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
-                           select: Iterable[str], c0: float,
-                           limit: int = 10) -> LearningOrder:
+                           select: Iterable[str], c0: float) -> LearningOrder:
     """Exhaustively find the best hierarchal order of a small selection.
 
     Enumerates every topological order of the selection (plus closure
     members) in lexicographic order and keeps the one with the highest
     mean efficiency at horizon `c0`, breaking ties by higher final
     efficiency and then by the enumeration order itself. Exponential
-    time; refuses more than `limit` nodes, and a `c0` that is not finite
-    and positive.
+    time; refuses more than `BRUTE_FORCE_LIMIT` (10) nodes, and a `c0`
+    that is not finite and positive.
 
     The search places an item only after its components, so every order
     it builds is hierarchal. Instead of building and validating each
@@ -476,14 +475,14 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
       best numerator.
     - Margin: a child is skipped only when its bound is below the floor
       by more than 1e-9 c0 (sum of all f). Numerators and bounds are sums
-      of at most 2 `limit` products of non-negative floats, adding up to
-      at most c0 (sum of all f), over costs that are float sums too, so
-      their rounding is some 1e-15 of that. A skipped subtree thus scores
-      strictly below the floor: it never holds the winner or an order
-      tied with it, so the result, its score bits and its tie-breaks are
-      those of the full enumeration. Without the margin, a bound that
-      rounds below an equal score can skip the very path that reaches
-      the floor.
+      of at most 2 `BRUTE_FORCE_LIMIT` products of non-negative floats,
+      adding up to at most c0 (sum of all f), over costs that are float
+      sums too, so their rounding is some 1e-15 of that. A skipped
+      subtree thus scores strictly below the floor: it never holds the
+      winner or an order tied with it, so the result, its score bits and
+      its tie-breaks are those of the full enumeration. Without the
+      margin, a bound that rounds below an equal score can skip the very
+      path that reaches the floor.
     - Non-negativity: the bound needs every cost and frequency of the
       pool finite and >= 0 (a negative cost lowers C, a negative
       frequency makes a cut worth more), as `centralities` always gives.
@@ -491,8 +490,9 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
       skipped.
     """
     pool = expand_selection(net, select)
-    if len(pool) > limit:
-        raise TooLarge("%d nodes exceed the brute-force limit of %d" % (len(pool), limit))
+    if len(pool) > BRUTE_FORCE_LIMIT:
+        raise TooLarge("%d nodes exceed the brute-force limit of %d"
+                       % (len(pool), BRUTE_FORCE_LIMIT))
     if not 0 < c0 < math.inf:
         raise ValueError("c0 must be finite and positive, got %r" % (c0,))
 
