@@ -185,8 +185,8 @@ def cmd_compare(args) -> int:
     table = centralities(net, freq, params)
     cost_lookup = {glyph: c for glyph, (f, c, eta) in table.entries.items()}
 
-    # Labels name the output files and comparison rows, so a repeated
-    # label skips its order, as an unreadable file does.
+    # Labels name the output files and comparison rows, so a repeated label
+    # skips its order, as an unreadable file or an unknown glyph does.
     candidates: dict[str, list[str]] = {}
 
     def fresh(label: str, source: str) -> bool:
@@ -199,9 +199,15 @@ def cmd_compare(args) -> int:
         label = Path(path).stem
         if fresh(label, path):
             try:
-                candidates[label] = parse_order_file(_read_input(path))
+                ids = parse_order_file(_read_input(path))
             except (ParseError, OSError) as exc:
                 print("error: %s" % exc, file=sys.stderr)
+                continue
+            if table.entries.keys() >= set(ids):
+                candidates[label] = ids
+            else:
+                unknown = next(glyph for glyph in ids if glyph not in table.entries)
+                print("error: %s: unknown glyph %s" % (label, unknown), file=sys.stderr)
     if args.include_optimized and fresh("optimized", "--include-optimized"):
         candidates["optimized"] = priority_topo_sort(net, table, pool).ids()
     if args.include_pure_frequency and fresh("pure-frequency", "--include-pure-frequency"):
@@ -212,14 +218,8 @@ def cmd_compare(args) -> int:
 
     rows = ["label,cost_mode,c0,n_learned,lambda_f,lambda_avg"]
     out = Path(args.out)
-    evaluated = 0
     for label, ids in candidates.items():
-        try:
-            order = external_order(table, ids)
-        except NetworkError as exc:
-            print("error: %s: unknown glyph %s" % (label, exc), file=sys.stderr)
-            continue
-        evaluated += 1
+        order = external_order(table, ids)
         try:
             hier = _horizon_curves(net, order, args.c0)
         except NotTopological as exc:
@@ -246,7 +246,7 @@ def cmd_compare(args) -> int:
             _write(out / ("%s_%s_curve.json" % (label, tag)), curve_json)
         _write(out / ("%s_cluster.csv" % label), serialize_cluster_csv(cluster_stats(net, order)))
     _write(out / "comparison.csv", "\n".join(rows) + "\n")
-    return 0 if evaluated else 1
+    return 0
 
 
 def cmd_validate(args) -> int:

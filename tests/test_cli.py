@@ -336,6 +336,30 @@ def test_compare_with_nothing_usable_fails(tmp_path, capsys):
     assert "no usable orders" in capsys.readouterr().err
 
 
+def test_compare_with_only_unknown_glyphs_writes_nothing(tmp_path, capsys):
+    order = tmp_path / "bad.txt"
+    order.write_text("口\n不存在\n", encoding="utf-8")
+    out = tmp_path / "cmp"
+    assert run("compare", order, "--out", out) == 1
+    assert capsys.readouterr().err == ("error: bad: unknown glyph 不存在\n"
+                                       "error: no usable orders\n")
+    assert not out.exists()
+
+
+def test_compare_order_with_an_unknown_glyph_takes_no_label(tmp_path, capsys):
+    # The skipped file leaves its label to a later file of the same name.
+    for sub, text in (("a", "不存在\n"), ("b", "口\n")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.txt").write_text(text, encoding="utf-8")
+    out = tmp_path / "cmp"
+    assert run("compare", tmp_path / "a" / "x.txt", tmp_path / "b" / "x.txt",
+               "--c0", 12, "--out", out) == 0
+    assert capsys.readouterr().err == "error: x: unknown glyph 不存在\n"
+    rows = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["x", "hierarchal"],
+                                                        ["x", "charge-unlearned"]]
+
+
 def test_cluster_default_and_explicit(tmp_path):
     assert run("cluster", "--out", tmp_path) == 0
     text = (tmp_path / "optimized_cluster.csv").read_text(encoding="utf-8")
