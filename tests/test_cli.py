@@ -360,6 +360,38 @@ def test_compare_order_with_an_unknown_glyph_takes_no_label(tmp_path, capsys):
                                                         ["x", "charge-unlearned"]]
 
 
+def _order_of(tmp_path, decompositions, frequencies, *flags):
+    """Run `order` on these inputs; the output directory."""
+    (tmp_path / "d.tsv").write_text(decompositions, encoding="utf-8")
+    (tmp_path / "f.tsv").write_text(frequencies, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("order", "--decompositions", tmp_path / "d.tsv",
+               "--frequencies", tmp_path / "f.tsv", *flags, "--out", out) == 0
+    return out
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: the budget test adds costs in floats, and "
+                          "1.1 + 1.1 + 1.1 exceeds a horizon of 3.3")
+def test_a_horizon_equal_to_an_exact_prefix_cost_learns_that_prefix(tmp_path):
+    # Three 1-stroke primitives cost 1.1 each at the default gamma.
+    out = _order_of(tmp_path, "A\tp\t-\t1\nB\tp\t-\t1\nC\tp\t-\t1\n",
+                    "A\t1\nB\t1\nC\t1\n", "--c0", 3.3)
+    assert json.loads((out / "curve_c3.3.json").read_text(encoding="utf-8"))["n_learned"] == 3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 9: the ranking compares float etas, and A's "
+                          "0.3 / 1.5 rounds below X's 0.2 / 1.0")
+def test_an_exact_eta_tie_is_broken_by_frequency(tmp_path):
+    # A (cost 1.5, share 0.3) and X (cost 1.0, share 0.2) both have eta
+    # 0.2 exactly, so the higher frequency puts A first; X then pulls P
+    # and Q ahead of itself.
+    out = _order_of(tmp_path, "A\tp\t-\t5\nP\tp\t-\t9\nQ\tp\t-\t9\nX\tc\tP Q\t0\n",
+                    "A\t3\nX\t2\nP\t3\nQ\t2\n")
+    assert parse_order((out / "order.txt").read_text(encoding="utf-8")) == ["A", "P", "Q", "X"]
+
+
 def test_cluster_default_and_explicit(tmp_path):
     assert run("cluster", "--out", tmp_path) == 0
     text = (tmp_path / "optimized_cluster.csv").read_text(encoding="utf-8")

@@ -159,6 +159,22 @@ def test_order_csv_reader_requires_header():
     assert parse_order_csv(text) == ["白"]
 
 
+def test_order_csv_row_with_too_few_columns():
+    text = "rank,glyph,kind,cost,freq,eta,cum_cost,cum_freq\n1,白,p,1.5,0.1,0.07,1.5,0.1\n2\n"
+    with pytest.raises(ParseError, match="^line 3: too few columns$"):
+        parse_order_csv(text)
+
+
+def test_frequency_table_from_counts():
+    table = FrequencyTable.from_counts({"A": 3, "B": 1})
+    assert table.entries == {"A": 0.75, "B": 0.25} and table.total_raw == 4
+    # Only the benchmark's traced runs take len() of a table.
+    assert len(table) == 2
+    for count in (0, -2):
+        with pytest.raises(ParseError, match="^count for B must be positive$"):
+            FrequencyTable.from_counts({"A": 3, "B": count})
+
+
 def test_order_file_format_follows_first_content_line():
     csv = "rank,glyph,kind,cost,freq,eta,cum_cost,cum_freq\r\n1,白,p,1.5,0.1,0.07,1.5,0.1\r\n"
     # Comments and blank lines, CRLF ones included, come before the header.

@@ -575,6 +575,12 @@ def test_validate_unknown_id_raises_unknown_id():
         validate_topological(net, ["的", "夕", "白", "勺", "多"])
 
 
+def test_external_order_rejects_an_absent_id():
+    # The first id the table lacks is named.
+    with pytest.raises(UnknownId, match="^夕$"):
+        external_order(small_table(), ["白", "夕", "勺", "多"])
+
+
 def test_order_item_is_immutable_with_named_fields():
     item = external_order(small_table(), ["白"]).items[0]
     assert (item.glyph, item.cost, item.freq) == ("白", 1.5, 0.3)
@@ -595,8 +601,16 @@ def test_brute_force_single_node_and_too_large():
     while len(big) <= 10:
         big = random_network(rng, max_nodes=30)
     btable = random_centralities(rng, big)
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="^%d nodes exceed the brute-force limit of 10$" % len(big)):
         brute_force_best_order(big, btable, set(big.ids()), c0=5.0)
+    # The limit is fixed at 10 nodes: a chain of 10 is searched, one of 11 refused.
+    chain = build_network([GlyphNode("V0", P, (), 1)] + [
+        GlyphNode("V%d" % k, GlyphKind.VARIANT, ("V%d" % (k - 1),), 1) for k in range(1, 11)])
+    ctable = random_centralities(rng, chain)
+    ten = ["V%d" % k for k in range(10)]
+    assert brute_force_best_order(chain, ctable, {"V9"}, c0=5.0).ids() == ten
+    with pytest.raises(TooLarge, match="^11 nodes exceed the brute-force limit of 10$"):
+        brute_force_best_order(chain, ctable, {"V10"}, c0=5.0)
 
 
 def test_brute_force_matches_permutation_filter_oracle():

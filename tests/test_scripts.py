@@ -3,6 +3,7 @@ seeds, every demo script, the modules an import loads), and the package
 names the benchmark reaches."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -58,6 +59,36 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             runs.setdefault(seed, []).append((done.stdout, files))
     assert runs["1"] == runs["2"]
     assert [len(files) for _, files in runs["1"]] == [5, 6, 9, 5, 6]
+
+
+def test_traced_benchmark_session_runs_clean(tmp_path):
+    # The benchmark's traced session wraps the functions in spans.SPANS
+    # and reads their results after each call (len() of every parsed
+    # table, the arguments and output of each sweep). Run it once on the
+    # bundled corpus, with one small exhaustive instance, and require
+    # that no command failed and every round wrote the same bytes.
+    data = ROOT / "src" / "glyphorder" / "data"
+    ops = {"order": [["order"], ["cluster"]],
+           "rerun": [["order", "--known", "all-primitives",
+                      "--target", str(data / "target_basic.txt")]],
+           "words": [["words"]],
+           "compare": [["compare", str(data / "rote_order.txt"), "--include-optimized",
+                        "--include-pure-frequency"]]}
+    instance = {"decompositions": "A\tp\t-\t5\nP\tp\t-\t9\nQ\tp\t-\t9\nX\tc\tP Q\t0\n",
+                "frequencies": "A\t3\nX\t2\nP\t3\nQ\t2\n", "c0": "3.37"}
+    plan = {"src": str(ROOT / "src"), "seconds": 0, "trace": True,
+            "ops": {op: [[*argv, "--out", "{out}"] for argv in runs] for op, runs in ops.items()},
+            "repeat": dict.fromkeys(["order", "rerun", "words", "compare", "exhaustive"], 1),
+            "exhaustive": {"gamma": "0.1", "instances": [instance]}, "probe": [],
+            "rounds_dir": str(tmp_path / "rounds"), "result": str(tmp_path / "result.json"),
+            "trace_file": str(tmp_path / "trace.tsv")}
+    (tmp_path / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+    done = python([str(ROOT / "perfbench" / "session.py"), str(tmp_path / "plan.json")],
+                  tmp_path)
+    assert done.returncode == 0, done.stderr
+    result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert result["errors"] == [] and result["mismatched"] == []
+    assert [layer["ordering.brute_force_instances"] for layer in result["layers"]] == [1, 1]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
