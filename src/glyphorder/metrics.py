@@ -88,10 +88,9 @@ def _curve(points: tuple[tuple[float, float], ...], counts: tuple[int, ...],
     area under the step function on [0, c0] divided by c0.
 
     F is 0 before the first corner and holds each corner's value until
-    the next. Each corner contributes F times the width up to the next
-    corner (or c0), and the contributions are added in floats, left to
-    right. That fixed order keeps every caller's score bit-identical for
-    the same corners.
+    the next. Each corner adds F times the width up to the next corner
+    (or c0), in floats, left to right. That fixed order keeps every
+    caller's score bit-identical for the same corners.
     """
     area = final = 0.0
     if points:
