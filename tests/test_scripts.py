@@ -1,6 +1,6 @@
 """Whole programs in fresh interpreters (the command line under two hash
-seeds, every demo script, the modules an import loads), and the package
-names the benchmark reaches."""
+seeds, every demo script, the modules an import loads, the benchmark's
+traced session), and the package names the benchmark reaches."""
 
 import ast
 import json
