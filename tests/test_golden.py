@@ -45,6 +45,9 @@ CASES = {
     "one-small-c0": ["compare", ROTE, OPTIMIZED_CSV, "--c0", 7.5],
     "compare-unknown-only": ["compare", UNKNOWN],
     "compare-unknown-and-rote": ["compare", UNKNOWN, ROTE],
+    # The target list limits only the built-in orders.
+    "compare-unused-target": ["compare", KAHN, "--target", TARGET_REPEATED],
+    "compare-used-target": ["compare", KAHN, "--target", TARGET_REPEATED, "--include-optimized"],
     "order": ["order"],
     "order-known-primitives": ["order", "--known", "all-primitives"],
     "order-known-variants": ["order", "--known", KNOWN_VARIANTS],

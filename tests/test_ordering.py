@@ -66,8 +66,12 @@ def test_already_topological_input_unchanged():
         assert out.ids() == ids
 
 
-def kahn_order_ids(net):
-    blocked = {g: len(set(net.node(g).components)) for g in net.ids()}
+def kahn_order_ids(net, pool=None):
+    """Frozen first-in-first-out Kahn over `pool` (default: the whole
+    network): the queue is seeded with the sorted ready ids, and each
+    scheduled id releases its sorted containers that lie in the pool."""
+    pool = set(net.ids()) if pool is None else pool
+    blocked = {g: len(set(net.node(g).components) & pool) for g in pool}
     queue = sorted(g for g, b in blocked.items() if b == 0)
     out = []
     head = 0
@@ -76,9 +80,10 @@ def kahn_order_ids(net):
         head += 1
         out.append(glyph)
         for parent in sorted(net.containers(glyph)):
-            blocked[parent] -= 1
-            if blocked[parent] == 0:
-                queue.append(parent)
+            if parent in blocked:
+                blocked[parent] -= 1
+                if blocked[parent] == 0:
+                    queue.append(parent)
     return out
 
 
@@ -512,6 +517,17 @@ def test_kahn_baseline_is_valid_and_deterministic():
         out = kahn_order(net, table, set(net.ids()))
         assert validate_topological(net, out) == []
         assert out.ids() == kahn_order(net, table, set(net.ids())).ids()
+
+
+def test_kahn_matches_frozen_oracle_on_partial_selections():
+    rng = random.Random(2416)
+    for _ in range(200):
+        net = random_network(rng, max_nodes=30, sparse=rng.random() < 0.3)
+        table = random_centralities(rng, net)
+        ids = list(net.ids())
+        select = rng.sample(ids, rng.randint(1, len(ids)))
+        expected = kahn_order_ids(net, expand_selection(net, select))
+        assert kahn_order(net, table, select).ids() == expected
 
 
 def test_kahn_order_is_labelled_kahn(mini_net, mini_freq):
