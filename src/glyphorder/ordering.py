@@ -361,30 +361,45 @@ def pure_frequency_order(table: CentralityTable, select: Iterable[str]) -> Learn
                          provenance=Provenance.PURE_FREQUENCY)
 
 
+def _precedence(net: DecompositionNetwork, ids: Sequence[str]) -> tuple[list[int], list[list[int]]]:
+    """Each id's count of distinct components, and the positions in `ids`
+    of its containers in ascending order; `ids` is closed under
+    components. One pass over the stored components of `ids`, so no
+    network-wide container index is built."""
+    nodes = net._nodes
+    index = {glyph: k for k, glyph in enumerate(ids)}
+    blocked = []
+    parents: list[list[int]] = [[] for _ in ids]
+    for k, glyph in enumerate(ids):
+        # Index 2 of a node is its components; a repeated one is one edge.
+        comps = set(nodes[glyph][2])
+        blocked.append(len(comps))
+        for comp in comps:
+            parents[index[comp]].append(k)
+    return blocked, parents
+
+
 def kahn_order(net: DecompositionNetwork, table: CentralityTable,
                select: Iterable[str]) -> LearningOrder:
     """Arbitrary hierarchal baseline: first-in-first-out Kahn's algorithm.
 
     Components count as prerequisites. The queue is seeded with the
     dependency-free nodes in lexicographic id order and new nodes are
-    appended as their last prerequisite is scheduled, so the result is
-    deterministic but pays no attention to centrality.
+    appended as their last prerequisite is scheduled, containers of one
+    node in lexicographic order, so the result is deterministic but pays
+    no attention to centrality. Precedence is read from the pool's
+    stored components.
     """
-    pool = expand_selection(net, select)
-    missing = {glyph: len(set(net.node(glyph).components) & pool) for glyph in pool}
-    queue = sorted(g for g, n in missing.items() if n == 0)
-    out = []
-    head = 0
-    while head < len(queue):
-        glyph = queue[head]
-        head += 1
-        out.append(glyph)
-        for parent in sorted(net.containers(glyph)):
-            if parent in missing:
-                missing[parent] -= 1
-                if missing[parent] == 0:
-                    queue.append(parent)
-    return LearningOrder(items=_make_items(table, out), provenance=Provenance.KAHN)
+    ids = sorted(expand_selection(net, select))
+    blocked, parents = _precedence(net, ids)
+    queue = [k for k, n in enumerate(blocked) if not n]
+    for k in queue:
+        for parent in parents[k]:
+            blocked[parent] -= 1
+            if not blocked[parent]:
+                queue.append(parent)
+    return LearningOrder(items=_make_items(table, [ids[k] for k in queue]),
+                         provenance=Provenance.KAHN)
 
 
 def validate_topological(net: DecompositionNetwork,
@@ -429,7 +444,8 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     mean efficiency at horizon `c0`, breaking ties by higher final
     efficiency and then by the enumeration order itself. Exponential
     time; refuses more than `BRUTE_FORCE_LIMIT` (10) nodes, and a `c0`
-    that is not finite and positive.
+    that is not finite and positive. Precedence is read from the pool's
+    stored components.
 
     The search places an item only after its components, so every order
     it builds is hierarchal. Instead of building and validating each
@@ -499,12 +515,12 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     # Nodes are their indices in id order, so index order is lexicographic.
     ids = sorted(pool)
     n = len(ids)
-    index = {g: k for k, g in enumerate(ids)}
-    costs = [table[g].c for g in ids]
-    freqs = [table[g].f for g in ids]
-    parents = [[index[p] for p in sorted(set(net.containers(g)) & pool)] for g in ids]
+    # Index 1 of an entry is its cost, index 0 its frequency.
+    entries = table.entries
+    costs = [entries[g][1] for g in ids]
+    freqs = [entries[g][0] for g in ids]
     # Components not yet placed; a placed node reads -1, so 0 means ready.
-    blocked = [len(set(net.node(g).components) & pool) for g in ids]
+    blocked, parents = _precedence(net, ids)
 
     total = sum(freqs)
     # The items a bound sums over: zero frequencies add nothing to it.
@@ -517,7 +533,8 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
         # The greedy floor, scored as the search scores it.
         area = c = f = 0.0
         left = blocked[:]
-        todo = [index[g] for g in table.ranked(pool)]
+        # Sort keys end in the id, so this is the table's ranking.
+        todo = sorted(range(n), key=lambda k: table.sort_key(ids[k]))
         while todo:
             k = next(j for j in todo if not left[j])
             todo.remove(k)

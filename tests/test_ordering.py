@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import glyphorder.network
 from glyphorder.costmodel import (Centrality, CentralityTable, CostParams, benefit_ratio,
                                   centralities)
 from glyphorder.metrics import CostMode, curve
@@ -528,6 +529,27 @@ def test_kahn_matches_frozen_oracle_on_partial_selections():
         select = rng.sample(ids, rng.randint(1, len(ids)))
         expected = kahn_order_ids(net, expand_selection(net, select))
         assert kahn_order(net, table, select).ids() == expected
+
+
+def test_kahn_and_brute_force_build_no_container_index(monkeypatch):
+    # Both read precedence from their pool alone, so a small selection of
+    # a larger network never indexes the whole network's containers.
+    rng = random.Random(67)
+    net = random_network(rng, max_nodes=200)
+    while len(net) < 100:
+        net = random_network(rng, max_nodes=200)
+    table = random_centralities(rng, net)
+    small = [g for g in net.ids() if 2 <= len(expand_selection(net, [g])) <= 10]
+    assert len(small) >= 5
+
+    def refuse(nodes):
+        raise AssertionError("the network-wide container index was built")
+
+    monkeypatch.setattr(glyphorder.network, "_container_index", refuse)
+    for glyph in small[:20]:
+        kahn_order(net, table, {glyph})
+        brute_force_best_order(net, table, {glyph}, c0=10.0)
+    assert net._containers is None
 
 
 def test_kahn_order_is_labelled_kahn(mini_net, mini_freq):
