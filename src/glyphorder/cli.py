@@ -179,7 +179,9 @@ def cmd_order(args) -> int:
 
 def cmd_compare(args) -> int:
     net, freq, params, dropped = _load_pipeline(args)
-    pool, _ = _selection(net, args)
+    # The target list limits only the built-in orders, so it is read only for them.
+    built_in = args.include_optimized or args.include_pure_frequency
+    pool = _selection(net, args)[0] if built_in else set()
     # The whole table: an order file may name any glyph, and charge mode
     # reads the costs of members outside the order.
     table = centralities(net, freq, params)

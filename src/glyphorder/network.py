@@ -17,8 +17,8 @@ it leaves (listing order cannot fall all the way round), so the
 depth-first cycle check runs only when some node names a component
 listed after it: a file that lists components before their containers
 is acyclic by its order alone. And the index of each glyph's containers
-is built on the first `containers` call; the CLI's commands never make
-one.
+is built on the first `containers` call, which serves library callers:
+nothing in the package calls it.
 """
 
 from __future__ import annotations

@@ -331,6 +331,18 @@ def test_compare_skips_duplicate_labels(tmp_path, capsys):
         assert (out / name).read_bytes() == (solo / name).read_bytes()
 
 
+def test_compare_reads_the_target_list_only_for_a_built_in_order(tmp_path, capsys):
+    absent = tmp_path / "absent.txt"
+    assert run("compare", DATA_DIR / "rote_order.txt", "--target", absent,
+               "--c0", 12, "--out", tmp_path / "cmp") == 0
+    assert capsys.readouterr().err == ""
+    for flag in ("--include-optimized", "--include-pure-frequency"):
+        assert run("compare", DATA_DIR / "rote_order.txt", "--target", absent, flag,
+                   "--c0", 12, "--out", tmp_path / flag) == 1
+        assert "cannot read %s" % absent in capsys.readouterr().err
+        assert not (tmp_path / flag).exists()
+
+
 def test_compare_with_nothing_usable_fails(tmp_path, capsys):
     assert run("compare", tmp_path / "absent.txt", "--out", tmp_path) == 1
     assert "no usable orders" in capsys.readouterr().err
