@@ -33,6 +33,7 @@ ROTE = DATA_DIR / "rote_order.txt"          # plain, not hierarchal
 TARGET = DATA_DIR / "target_basic.txt"
 TARGET_REPEATED = GOLDEN / "target_repeated.txt"  # names 好 twice: rejected when read
 UNKNOWN = GOLDEN / "unknown_glyph.txt"      # names 不存在, which no network holds
+EMPTY = GOLDEN / "empty_order.txt"          # a comment line and no glyph
 
 CASES = {
     "plain": ["compare", KAHN],
@@ -68,6 +69,9 @@ CASES = {
     "validate-hierarchal": ["validate", KAHN],
     "validate-rote": ["validate", ROTE],
     "error-validate-gamma": ["validate", KAHN, "--gamma", -1],
+    "validate-empty": ["validate", EMPTY],
+    "validate-unknown": ["validate", UNKNOWN],
+    "cluster-unknown": ["cluster", UNKNOWN],
 }
 
 # One error per ingest check: the bundled file with one line replaced

@@ -836,6 +836,12 @@ FLOAT_CASES = {
                               "C": ((), 0.1, 1.0), "D": (("C",), 0.1, 1.0),
                               "E": ((), 0.1, 1.0)},
                              1.5, "PBCDE", "PEBCD", "order"),
+    # The same cut with siblings ranked against their id order: after P,
+    # B and E are over budget and E's higher eta ranks it first. The
+    # cut still goes to the smaller id's completion.
+    "over-budget-siblings-ranked": ({"P": ((), 0.5, 1.0), "B": ((), 0.1, 1.0),
+                                     "E": ((), 0.3, 1.0)},
+                                    1.5, "PBE", "PEB", "order"),
     # After P, zero-frequency A fits and B is over budget. In floats the
     # segment A splits sums lower than the whole cut before it, so the
     # winner is the over-budget B's completion, not its smaller sibling's.
@@ -896,6 +902,29 @@ def test_brute_force_without_pruning_matches_oracle(spoil):
         c0 = 0.6 * sum(table[g].c for g in pool if table[g].c < math.inf)
         got = brute_force_best_order(net, table, pool, c0=c0)
         assert got.ids() == oracle_brute_force(net, table, pool, c0=c0).ids()
+
+
+def test_brute_force_matches_oracle_on_exact_ties():
+    # Coarse costs and frequencies, zeros included, make exact score ties
+    # common, so the tie rule, not the score, picks many of the winners.
+    rng = random.Random(1618)
+    tied = 0
+    for _ in range(300):
+        net = random_network(rng, max_nodes=7, sparse=True)
+        pool = set(net.ids())
+        entries = {}
+        for glyph in net.ids():
+            f, c = rng.choice([0.0, 1.0, 2.0]), rng.choice([0.0, 0.1, 0.2])
+            entries[glyph] = Centrality(f=f, c=c, eta=benefit_ratio(f, c))
+        table = CentralityTable(entries)
+        c0 = rng.choice([0.1, 0.2, 0.3, 0.5])
+        got = brute_force_best_order(net, table, pool, c0=c0)
+        assert got.ids() == oracle_brute_force(net, table, pool, c0=c0).ids()
+        scores = [(cv.mean_efficiency, cv.final_efficiency)
+                  for cv in (curve(net, external_order(table, ids), c0)
+                             for ids in enumerate_topological(net, pool))]
+        tied += scores.count(max(scores)) >= 2
+    assert tied >= 100
 
 
 def linear_extension_count(net, pool):
