@@ -439,32 +439,35 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
                            select: Iterable[str], c0: float) -> LearningOrder:
     """Exhaustively find the best hierarchal order of a small selection.
 
-    Enumerates every topological order of the selection (plus closure
-    members) in lexicographic order and keeps the one with the highest
-    mean efficiency at horizon `c0`, breaking ties by higher final
-    efficiency and then by the enumeration order itself. Exponential
-    time; refuses more than `BRUTE_FORCE_LIMIT` (10) nodes, and a `c0`
-    that is not finite and positive. Precedence is read from the pool's
-    stored components.
+    Searches every topological order of the selection (plus closure
+    members) and keeps the one with the highest mean efficiency at
+    horizon `c0`, breaking ties by higher final efficiency and then by
+    the lexicographically smaller id list. Exponential time; refuses
+    more than `BRUTE_FORCE_LIMIT` (10) nodes, and a `c0` that is not
+    finite and positive. Precedence is read from the pool's stored
+    components.
 
     The search places an item only after its components, so every order
     it builds is hierarchal. Instead of building and validating each
-    candidate, each level carries the prefix's curve in three floats:
-    the area under it up to its last corner, and that corner (C, F),
-    (0, 0) before the first, whose zero-height segment adds exactly 0.0
-    to the area. An item is over budget when C plus its cost exceeds
+    candidate, each level tries the ready items in the table's ranking
+    (highest eta = f / c first) and carries the prefix's curve in three
+    floats: the area under it up to its last corner, and that corner
+    (C, F), (0, 0) before the first, whose zero-height segment adds
+    exactly 0.0 to the area. An item is over budget when C plus its cost exceeds
     `c0`; one that leaves C where it was merges into the last corner. A
     complete or cut prefix scores (area + F (c0 - C)) / c0. These are
     `curve`'s float operations in `curve`'s order, so every score is
     bit-for-bit the one `curve` gives for that order.
 
     Once an item is over budget, nothing after it counts: every
-    completion of that prefix scores the same, so the subtree collapses
-    to its lexicographically first completion, built only when its score
-    beats the best so far. Every over-budget child of one node scores
-    that same prefix, and the best score never falls and is only
-    replaced by a strictly higher one, so only the first such child can
-    win and only it is scored.
+    completion of that prefix scores the same, and every over-budget
+    child of one node scores that same cut prefix. So the prefix is
+    scored once, after its in-budget children, for its lexicographically
+    first such completion: its smallest-id over-budget child, then
+    repeatedly the smallest-id ready item. A complete or cut prefix
+    builds its order only when its score is at least the best so far,
+    and an equal score goes to the lexicographically smaller order, so
+    the result does not depend on the order the search runs in.
 
     An in-budget child is skipped when no completion below it can reach
     the best score, by branch and bound:
@@ -482,28 +485,28 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
       most a + (sum of all f) r. The search tests that O(1) form first.
       Only when it does not prune does it add up the sum, over positive
       frequencies, cheapest first, up to the first c_j >= r or until the
-      bound reaches the floor.
-    - Floor: before the search, the greedy order that always takes the
-      ready item ranked first by the table (highest eta = f / c) is
-      scored with the search's own float operations, up to its first
-      item over budget. It is one of the enumerated orders, so the best
-      numerator is at least its numerator. The floor rises to each new
-      best numerator.
-    - Margin: a child is skipped only when its bound is below the floor
-      by more than 1e-9 c0 (sum of all f). Numerators and bounds are sums
+      bound reaches the best numerator so far.
+    - Floor: nothing is skipped before the first order is scored. With
+      no negative cost or frequency, adding an in-budget item never
+      lowers a prefix's score, and the ranking puts the greedy choice
+      first at every level, so the first descent extends the greedy
+      order (always the ready item ranked first, up to its first item
+      over budget) and scores at least as high. The best numerator only
+      rises from there.
+    - Margin: a child is skipped only when its bound is below the best
+      numerator so far by more than 1e-9 c0 (sum of all f). Numerators and bounds are sums
       of at most 2 `BRUTE_FORCE_LIMIT` products of non-negative floats,
       adding up to at most c0 (sum of all f), over costs that are float
       sums too, so their rounding is some 1e-15 of that. A skipped
-      subtree thus scores strictly below the floor: it never holds the
+      subtree thus scores strictly below the best: it never holds the
       winner or an order tied with it, so the result, its score bits and
       its tie-breaks are those of the full enumeration. Without the
       margin, a bound that rounds below an equal score can skip the very
-      path that reaches the floor.
+      path that reaches it.
     - Non-negativity: the bound needs every cost and frequency of the
       pool finite and >= 0 (a negative cost lowers C, a negative
       frequency makes a cut worth more), as `centralities` always gives.
-      For any other table the floor stays at -inf and nothing is
-      skipped.
+      For any other table nothing is skipped.
     """
     pool = expand_selection(net, select)
     if len(pool) > BRUTE_FORCE_LIMIT:
@@ -527,26 +530,10 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     by_cost = sorted((costs[j], freqs[j], j) for j in range(n) if freqs[j] > 0)
     prune = all(0 <= x < math.inf for x in costs + freqs)
     margin = 1e-9 * c0 * total
-    # The floor less the margin: a child whose bound is below it is skipped.
+    # The best numerator less the margin: a child whose bound is below it is skipped.
     cutoff = -math.inf
-    if prune:
-        # The greedy floor, scored as the search scores it.
-        area = c = f = 0.0
-        left = blocked[:]
-        # Sort keys end in the id, so this is the table's ranking.
-        todo = sorted(range(n), key=lambda k: table.sort_key(ids[k]))
-        while todo:
-            k = next(j for j in todo if not left[j])
-            todo.remove(k)
-            step = c + costs[k]
-            if step > c0:
-                break
-            if step != c:
-                area, c = area + f * (step - c), step
-            f += freqs[k]
-            for parent in parents[k]:
-                left[parent] -= 1
-        cutoff = area + f * (c0 - c) - margin
+    # Sort keys end in the id, so this is the table's ranking.
+    rank = sorted(range(n), key=lambda k: table.sort_key(ids[k]))
 
     best_score: tuple[float, float] | None = None
     best: list[int] = []
@@ -564,30 +551,30 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
                 tail.append(left.index(0))
         return prefix + tail
 
-    def search(area: float, c: float, f: float) -> None:
+    def offer(value: float, f: float, k: int | None) -> None:
+        # Score the prefix, complete, or cut at its over-budget child k.
         nonlocal best_score, best, cutoff
-        if len(prefix) == n:
-            value = area + f * (c0 - c)
-            score = (value / c0, f)
-            if best_score is None or score > best_score:
-                best_score, best = score, prefix[:]
-                if prune:
-                    cutoff = max(cutoff, value - margin)
+        score = (value / c0, f)
+        if best_score is not None and not score >= best_score:
             return
-        unscored = True
-        for k in range(n):
+        order = prefix[:] if k is None else completion(k)
+        if score == best_score and order > best:
+            return
+        best_score, best = score, order
+        if prune:
+            cutoff = max(cutoff, value - margin)
+
+    def search(area: float, c: float, f: float) -> None:
+        if len(prefix) == n:
+            offer(area + f * (c0 - c), f, None)
+            return
+        over = n
+        for k in rank:
             if blocked[k]:
                 continue
             step = c + costs[k]
             if step > c0:
-                if unscored:
-                    unscored = False
-                    value = area + f * (c0 - c)
-                    score = (value / c0, f)
-                    if best_score is None or score > best_score:
-                        best_score, best = score, completion(k)
-                        if prune:
-                            cutoff = max(cutoff, value - margin)
+                over = min(over, k)
                 continue
             after = area if step == c else area + f * (step - c)
             room = c0 - step
@@ -610,6 +597,8 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
                 blocked[parent] += 1
             prefix.pop()
             blocked[k] = 0
+        if over < n:
+            offer(area + f * (c0 - c), f, over)
 
     search(0.0, 0.0, 0.0)
     return LearningOrder(items=_make_items(table, [ids[k] for k in best]),

@@ -847,11 +847,18 @@ FLOAT_CASES = {
     # winner is the over-budget B's completion, not its smaller sibling's.
     "cut-beats-split": ({"A": ((), 0.0, 0.2), "B": ((), 0.3, 2.0), "P": ((), 0.1, 0.2)},
                         1.7, "PBA", "PAB", "mean"),
-    # A and B are alike, so the greedy floor, A then B, is the optimum
-    # itself. After A the bound sums to 0.26999999999999996, below the
-    # 0.27 that A, B scores: only the pruning margin keeps that path.
+    # A and B are alike, so the greedy order, A then B, is the optimum
+    # itself and the search's first descent. After B the bound sums to
+    # 0.26999999999999996, below the 0.27 that A, B scores, so B, A is
+    # skipped; it ties A, B and would lose on order anyway.
     "greedy-floor-tie": ({"A": ((), 0.1, 0.1), "B": ((), 0.1, 0.1)},
                          1.5, "AB", "BA", "order"),
+    # Equal etas rank the more frequent B first, so the first descent
+    # scores B, A at 0.38000000000000006. After A the bound sums to
+    # 0.38, below that: only the pruning margin keeps the path to A, B,
+    # which ties B, A and wins on order.
+    "rank-first-tie": ({"A": ((), 0.1, 0.1), "B": ((), 0.2, 0.2)},
+                       1.5, "AB", "BA", "order"),
     # No item occurs, so every order scores 0, the floor is 0 and so is
     # the margin: a bound equal to the floor must not prune.
     "all-zero-frequency": ({"A": ((), 0.0, 1.0), "B": ((), 0.0, 1.0),
