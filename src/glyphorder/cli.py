@@ -41,7 +41,7 @@ from .ingest import (ParseError, parse_decompositions, parse_frequencies, parse_
 from .metrics import (DEFAULT_HORIZONS, CostMode, MissingCost, NotTopological, _summary,
                       cluster_stats, curve, curve_summary_json, serialize_cluster_csv,
                       serialize_curve_csv, truncate)
-from .network import CycleDetected, NetworkError, build_network
+from .network import CycleDetected, NetworkError, UnknownId, build_network
 from .ordering import (external_order, priority_topo_sort, pure_frequency_order,
                        serialize_order_csv, target_pool, validate_topological)
 from .words import DEFAULT_TOP_K, WordNetworkConfig, expand_with_words
@@ -109,6 +109,16 @@ def _load_pipeline(args):
                 raise ValueError("known-set glyph %s is not in the network" % glyph)
 
     return net, freq, CostParams(gamma=args.gamma, known=known), dropped
+
+
+def _read_order(path: str, net) -> list[str]:
+    """The ids of the order file at `path`; the first glyph the network
+    lacks raises UnknownId naming the file's stem as its label."""
+    ids = parse_order_file(_read_input(path))
+    unknown = next((glyph for glyph in ids if glyph not in net), None)
+    if unknown is not None:
+        raise UnknownId("%s: unknown glyph %s" % (Path(path).stem, unknown))
+    return ids
 
 
 def _selection(net, args) -> tuple[set[str], list[str]]:
@@ -201,15 +211,9 @@ def cmd_compare(args) -> int:
         label = Path(path).stem
         if fresh(label, path):
             try:
-                ids = parse_order_file(_read_input(path))
-            except (ParseError, OSError) as exc:
+                candidates[label] = _read_order(path, net)
+            except (ParseError, OSError, UnknownId) as exc:
                 print("error: %s" % exc, file=sys.stderr)
-                continue
-            if table.entries.keys() >= set(ids):
-                candidates[label] = ids
-            else:
-                unknown = next(glyph for glyph in ids if glyph not in table.entries)
-                print("error: %s: unknown glyph %s" % (label, unknown), file=sys.stderr)
     if args.include_optimized and fresh("optimized", "--include-optimized"):
         candidates["optimized"] = priority_topo_sort(net, table, pool).ids()
     if args.include_pure_frequency and fresh("pure-frequency", "--include-pure-frequency"):
@@ -254,11 +258,9 @@ def cmd_compare(args) -> int:
 def cmd_validate(args) -> int:
     # No centralities are read, but --gamma and --known are still checked.
     net, freq, _, _ = _load_pipeline(args)
-    ids = parse_order_file(_read_input(args.order))
+    ids = _read_order(args.order, net)
     if not ids:
         print("warning: empty order")
-        print("coverage: 0.000000")
-        return 0
     violations = validate_topological(net, ids)
     coverage = sum(freq.get(glyph) for glyph in ids)
     for v in violations:
@@ -273,8 +275,7 @@ def cmd_cluster(args) -> int:
     net, freq, params, dropped = _load_pipeline(args)
     if args.order:
         # The whole table: the order file may name any glyph.
-        order = external_order(centralities(net, freq, params),
-                               parse_order_file(_read_input(args.order)))
+        order = external_order(centralities(net, freq, params), _read_order(args.order, net))
         label = Path(args.order).stem
     else:
         order, _ = _optimized(args, net, freq, params)

@@ -254,7 +254,22 @@ def test_validate_empty_order_warns(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n", encoding="utf-8")
     assert run("validate", empty) == 0
-    assert "warning: empty order" in capsys.readouterr().out
+    assert capsys.readouterr().out == ("warning: empty order\n"
+                                       "coverage: 0.000000\n"
+                                       "violations: 0\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "cluster"])
+def test_order_file_with_an_unknown_glyph_is_named(tmp_path, capsys, command):
+    # The same message compare prints before it skips such a file.
+    order = tmp_path / "bad.txt"
+    order.write_text("口\n不存在\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(command, order, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad: unknown glyph 不存在\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_compare_rote_against_baselines(tmp_path, capsys):
