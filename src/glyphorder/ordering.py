@@ -506,7 +506,10 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     - Non-negativity: the bound needs every cost and frequency of the
       pool finite and >= 0 (a negative cost lowers C, a negative
       frequency makes a cut worth more), as `centralities` always gives.
-      For any other table nothing is skipped.
+      For any other table nothing is skipped. A table that can make a
+      score NaN (a NaN cost or frequency, a cost of -inf, or an infinite
+      frequency) has no best order, and which order it gets is
+      unspecified.
     """
     pool = expand_selection(net, select)
     if len(pool) > BRUTE_FORCE_LIMIT:
@@ -555,7 +558,7 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
         # Score the prefix, complete, or cut at its over-budget child k.
         nonlocal best_score, best, cutoff
         score = (value / c0, f)
-        if best_score is not None and not score >= best_score:
+        if best_score is not None and score < best_score:
             return
         order = prefix[:] if k is None else completion(k)
         if score == best_score and order > best:
