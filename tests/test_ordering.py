@@ -849,8 +849,8 @@ FLOAT_CASES = {
                         1.7, "PBA", "PAB", "mean"),
     # A and B are alike, so the greedy order, A then B, is the optimum
     # itself and the search's first descent. After B the bound sums to
-    # 0.26999999999999996, below the 0.27 that A, B scores, so B, A is
-    # skipped; it ties A, B and would lose on order anyway.
+    # 0.26999999999999996, below the 0.27 that A, B scores; the margin
+    # keeps that path, and B, A ties A, B and loses on order.
     "greedy-floor-tie": ({"A": ((), 0.1, 0.1), "B": ((), 0.1, 0.1)},
                          1.5, "AB", "BA", "order"),
     # Equal etas rank the more frequent B first, so the first descent
