@@ -34,6 +34,7 @@ TARGET = DATA_DIR / "target_basic.txt"
 TARGET_REPEATED = GOLDEN / "target_repeated.txt"  # names 好 twice: rejected when read
 UNKNOWN = GOLDEN / "unknown_glyph.txt"      # names 不存在, which no network holds
 EMPTY = GOLDEN / "empty_order.txt"          # a comment line and no glyph
+NOT_UTF8 = GOLDEN / "not_utf8.txt"          # the bytes ff fe 0a: not UTF-8
 
 CASES = {
     "plain": ["compare", KAHN],
@@ -72,6 +73,12 @@ CASES = {
     "validate-empty": ["validate", EMPTY],
     "validate-unknown": ["validate", UNKNOWN],
     "cluster-unknown": ["cluster", UNKNOWN],
+    "compare-not-utf8": ["compare", NOT_UTF8, KAHN],
+    "validate-not-utf8": ["validate", NOT_UTF8],
+    "compare-words-built-in": ["compare", "--mode", "words", "--include-optimized",
+                               "--include-pure-frequency"],
+    "cluster-words": ["cluster", "--mode", "words"],
+    "validate-words": ["validate", "--mode", "words", KAHN],
 }
 
 # One error per ingest check: the bundled file with one line replaced
