@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import ClassVar, Iterable, Iterator, NamedTuple
 
 from .ingest import FrequencyTable
 from .network import DecompositionNetwork, GlyphKind, GlyphNode
@@ -33,13 +33,15 @@ class CostParams:
 
     Attributes:
         gamma: per-stroke surcharge on primitive costs.
-        variant_cost: flat cost of variant forms.
         known: ids whose cost is forced to 0 (already learned).
         suppression: id -> factor in [0, 1] for partially known items.
+
+    `variant_cost`, the flat cost of a variant form, is fixed at 1.0 for
+    every instance: it is a class constant, not a constructor argument.
     """
 
+    variant_cost: ClassVar[float] = 1.0
     gamma: float = DEFAULT_GAMMA
-    variant_cost: float = 1.0
     known: frozenset[str] = frozenset()
     suppression: dict[str, float] = field(default_factory=dict)
 
@@ -48,10 +50,6 @@ class CostParams:
             raise ValueError("gamma must be finite")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
-        if not math.isfinite(self.variant_cost):
-            raise ValueError("variant_cost must be finite")
-        if self.variant_cost <= 0:
-            raise ValueError("variant_cost must be positive")
         for glyph, factor in self.suppression.items():
             if not 0.0 <= factor <= 1.0:
                 raise ValueError("suppression factor for %s outside [0, 1]" % glyph)

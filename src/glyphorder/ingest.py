@@ -83,9 +83,6 @@ class FrequencyTable:
         """Frequency share of `glyph`; 0 when absent (never a corpus token)."""
         return self.entries.get(glyph, 0.0)
 
-    def __contains__(self, glyph: str) -> bool:
-        return glyph in self.entries
-
     def __len__(self) -> int:
         # Unused in the package; perfbench's traced runs count records with len().
         return len(self.entries)

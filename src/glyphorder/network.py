@@ -216,7 +216,8 @@ def build_network(nodes: Iterable[GlyphNode],
 
     With a `base` network, the result holds its nodes followed by
     `nodes`, and only `nodes` are checked: the base is valid already and
-    none of its nodes can list a new one, so its closures carry over.
+    none of its nodes can list a new one. The result starts with no
+    closure cached, whatever `base` has cached.
 
     Raises:
         DuplicateId: two nodes share an id.
@@ -228,10 +229,7 @@ def build_network(nodes: Iterable[GlyphNode],
     by_id = {} if base is None else dict(base._nodes)
     if _add_nodes(by_id, nodes):
         _check_acyclic(by_id)
-    net = DecompositionNetwork(by_id)
-    if base is not None:
-        net._closure_cache.update(base._closure_cache)
-    return net
+    return DecompositionNetwork(by_id)
 
 
 def _add_nodes(by_id: dict[str, GlyphNode], nodes: Iterable[GlyphNode]) -> bool:
@@ -280,9 +278,8 @@ def _container_index(nodes: dict[str, GlyphNode]) -> dict[str, tuple[str, ...]]:
     """Each glyph's containers, in input order."""
     containers: defaultdict[str, list[str]] = defaultdict(list)
     for glyph, node in nodes.items():
-        comps = node[2]
         # A repeated component makes one edge, not two.
-        for comp in dict.fromkeys(comps) if len(comps) > 1 else comps:
+        for comp in dict.fromkeys(node[2]):
             containers[comp].append(glyph)
     return {glyph: tuple(cs) for glyph, cs in containers.items()}
 
@@ -291,15 +288,11 @@ def _check_acyclic(by_id: dict[str, GlyphNode]) -> None:
     """Depth-first cycle check; raises CycleDetected with a witness path."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = dict.fromkeys(by_id, WHITE)
-    for start, node in by_id.items():
+    for start in by_id:
         if color[start] != WHITE:
             continue
-        # A node without components closes no cycle: done at once.
-        if not node.components:
-            color[start] = BLACK
-            continue
         path = [start]
-        stack = [iter(node.components)]
+        stack = [iter(by_id[start].components)]
         color[start] = GRAY
         while stack:
             child = next(stack[-1], None)
@@ -313,10 +306,6 @@ def _check_acyclic(by_id: dict[str, GlyphNode]) -> None:
             if state == GRAY:
                 cycle = path[path.index(child):] + [child]
                 raise CycleDetected(cycle)
-            comps = by_id[child].components
-            if not comps:
-                color[child] = BLACK
-                continue
             color[child] = GRAY
             path.append(child)
-            stack.append(iter(comps))
+            stack.append(iter(by_id[child].components))

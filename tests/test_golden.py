@@ -1,8 +1,8 @@
 """Golden outputs: CLI runs on the bundled corpus, checked byte for byte.
 
 `golden/manifest.json` holds, for each case below, the exit code and the
-sha256 of stdout and stderr (with the output directory written as OUT)
-and of every file the command writes. A change that alters any of them
+sha256 of stdout and stderr (with the output directory written as OUT
+and this directory as GOLDEN) and of every file the command writes. A change that alters any of them
 on purpose rewrites the manifest and names the changed entries:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -129,7 +129,8 @@ def run_case(argv, out: Path) -> dict:
     files = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())} if out.exists() else {}
 
     def digest(stream: io.StringIO) -> str:
-        return _sha(stream.getvalue().replace(str(out), "OUT").encode("utf-8"))
+        text = stream.getvalue().replace(str(out), "OUT").replace(str(GOLDEN), "GOLDEN")
+        return _sha(text.encode("utf-8"))
 
     return {"exit": code, "stdout": digest(stdout), "stderr": digest(stderr), "files": files}
 

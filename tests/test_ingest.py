@@ -259,7 +259,6 @@ def _check_ingest_against_oracles(seed: int, shuffled: bool) -> None:
         {g: rng.randint(1, 50) for g in rng.sample(ids, rng.randint(0, len(ids)))} | {"zz": 3})
     primitives = frozenset(row[0] for row in rows if row[1] in ("p", "pc"))
     params = [CostParams(gamma=rng.choice([0.0, 0.1, 0.25, rng.uniform(0.0, 3.0)]),
-                         variant_cost=rng.choice([1.0, 0.5, 2.5]),
                          known=rng.choice([frozenset(), primitives,
                                            frozenset(rng.sample(ids, rng.randint(0, len(ids))))]),
                          suppression={g: rng.choice([0.0, 0.5, 1.0]) for g in rng.sample(ids, 2)
