@@ -157,13 +157,16 @@ def test_missing_input_file_names_the_path(tmp_path, capsys):
     assert "nope.tsv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--decompositions", "--frequencies", "--known"])
-def test_non_utf8_input_names_the_file_and_line(tmp_path, capsys, flag):
+@pytest.mark.parametrize("command", [["order", "--decompositions"], ["order", "--frequencies"],
+                                     ["order", "--known"], ["validate"], ["cluster"]])
+def test_non_utf8_input_names_the_file_and_line(tmp_path, capsys, command):
     # CRLF and a lone CR each end a line, as in text-mode reading.
-    bad = tmp_path / "bad.tsv"
+    bad = tmp_path / "bad.txt"
     bad.write_bytes(b"a\r\nb\rc\n\xe4\xb8\n")
-    assert run("order", "--out", tmp_path / "out", flag, bad) == 1
+    out = tmp_path / "out"
+    assert run(*command, bad, "--out", out) == 1
     assert capsys.readouterr().err == "error: %s: line 4: not UTF-8 (byte 0xe4)\n" % bad
+    assert not out.exists()
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch):
@@ -331,17 +334,6 @@ def test_compare_skips_bad_files_but_continues(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "absent.txt" in captured.err
     assert (out / "rote_order_charge_curve.csv").exists()
-
-
-def test_compare_skips_a_non_utf8_order_file(tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes("口\n".encode("utf-8") + b"\xff\n")
-    out = tmp_path / "cmp"
-    assert run("compare", bad, DATA_DIR / "rote_order.txt", "--out", out, "--c0", 12) == 0
-    assert capsys.readouterr().err == "error: %s: line 2: not UTF-8 (byte 0xff)\n" % bad
-    assert sorted(p.name for p in out.iterdir()) == [
-        "comparison.csv", "rote_order_charge_curve.csv", "rote_order_charge_curve.json",
-        "rote_order_cluster.csv"]
 
 
 def test_compare_skips_duplicate_labels(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 `golden/manifest.json` holds, for each case below, the exit code and the
 sha256 of stdout and stderr (with the output directory written as OUT
-and this directory as GOLDEN) and of every file the command writes. A change that alters any of them
-on purpose rewrites the manifest and names the changed entries:
+and the golden directory as GOLDEN) and of every file the command
+writes. A change that alters any of them on purpose rewrites the
+manifest and names the changed entries:
 
     PYTHONPATH=src python tests/test_golden.py
 """

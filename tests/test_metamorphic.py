@@ -26,8 +26,8 @@ HORIZONS = ["--c0", "60.37", "--c0", "400.37"]
 SEEDS = range(4)
 
 
-def _language(seed: int, n: int = 600) -> synth.Language:
-    return synth.language(random.Random(seed), n)
+def _language(seed: int) -> synth.Language:
+    return synth.language(random.Random(seed), 600)
 
 
 def _write_inputs(root: Path, decompositions: str, counts: str) -> list[str]:
