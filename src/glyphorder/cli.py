@@ -51,11 +51,10 @@ DATA_ENV_VAR = "GLYPHORDER_DATA"
 
 
 def _read_input(path: str | None, bundled: str = "") -> str:
-    """Read the UTF-8 file at `path`, with the universal newlines of text
-    mode. An input with a `bundled` default falls back, when no path is
-    given, to that file in $GLYPHORDER_DATA, else in the bundled corpus.
-    A file that is not UTF-8 raises ParseError naming it and the line of
-    its first bad byte."""
+    """Read the UTF-8 file at `path`. An input with a `bundled` default
+    falls back, when no path is given, to that file in $GLYPHORDER_DATA,
+    else in the bundled corpus. A file that is not UTF-8 raises
+    ParseError naming it and the line of its first bad byte."""
     env_dir = os.environ.get(DATA_ENV_VAR)
     if path or not bundled:
         source = Path(path)
@@ -64,16 +63,14 @@ def _read_input(path: str | None, bundled: str = "") -> str:
     else:
         source = resources.files("glyphorder").joinpath("data/" + bundled)
     try:
-        data = source.read_bytes()
+        return source.read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError("cannot read %s: %s" % (source, exc)) from exc
-    # No byte of a multi-byte UTF-8 sequence is a CR or an LF.
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError("%s: line %d: not UTF-8 (byte 0x%02x)" % (
-            source, data.count(b"\n", 0, exc.start) + 1, data[exc.start])) from None
+        # Text mode decodes the whole file in one call, so `exc.object`
+        # holds all of its bytes. CRLF and a lone CR each end a line.
+        head = exc.object[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError("%s: line %d: not UTF-8" % (source, head.count(b"\n") + 1)) from None
 
 
 def _horizons(c0: list[float] | None) -> tuple[float, ...]:

@@ -127,7 +127,6 @@ def _centrality_items(nodes: Iterable[GlyphNode], shares: dict[str, float],
     cost model of the module docstring, written once."""
     known = params.known
     gamma = params.gamma
-    variant_cost = params.variant_cost
     suppression = params.suppression
     variant = _VARIANT
     new = tuple.__new__
@@ -140,7 +139,7 @@ def _centrality_items(nodes: Iterable[GlyphNode], shares: dict[str, float],
                 # with 7 strokes is exactly 1.7, not 1 + 0.7000000000000001.
                 c = round(1.0 + gamma * strokes, 12)
             elif kind is variant:
-                c = variant_cost
+                c = params.variant_cost
             else:
                 # Compound and word: one combination per extra component,
                 # with multiplicity, so a repeated component is paid again.

@@ -160,12 +160,13 @@ def test_missing_input_file_names_the_path(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["order", "--decompositions"], ["order", "--frequencies"],
                                      ["order", "--known"], ["validate"], ["cluster"]])
 def test_non_utf8_input_names_the_file_and_line(tmp_path, capsys, command):
-    # CRLF and a lone CR each end a line, as in text-mode reading.
+    # CRLF and a lone CR each end a line, as in text-mode reading; the
+    # bad byte lies far beyond the first read buffer.
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"a\r\nb\rc\n\xe4\xb8\n")
+    bad.write_bytes(b"a\r\nb\rc\n" + b"x\n" * 100000 + b"\xe4\xb8\n")
     out = tmp_path / "out"
     assert run(*command, bad, "--out", out) == 1
-    assert capsys.readouterr().err == "error: %s: line 4: not UTF-8 (byte 0xe4)\n" % bad
+    assert capsys.readouterr().err == "error: %s: line 100004: not UTF-8\n" % bad
     assert not out.exists()
 
 
