@@ -68,6 +68,8 @@ CASES = {
     "cluster-max-n": ["cluster", "--max-n", 5],
     "cluster-target": ["cluster", "--target", TARGET],
     "error-cluster-max-n-zero": ["cluster", "--max-n", 0],
+    "order-top-k-zero": ["order", "--top-k", 0],
+    "words-top-k-zero": ["words", "--top-k", 0],
     "validate-hierarchal": ["validate", KAHN],
     "validate-rote": ["validate", ROTE],
     "error-validate-gamma": ["validate", KAHN, "--gamma", -1],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import random
 import sys
 from pathlib import Path
@@ -38,10 +39,10 @@ def _write_inputs(root: Path, decompositions: str, counts: str) -> list[str]:
             "--frequencies", str(root / "char_freq.tsv")]
 
 
-def _run(argv: list[str], out: Path) -> dict[str, bytes]:
+def _run(argv: list[str], out: Path, horizons: list[str] = HORIZONS) -> dict[str, bytes]:
     """Every file one command writes into `out`, by name."""
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, *HORIZONS, "--out", str(out)]) == 0
+        assert main([*argv, *horizons, "--out", str(out)]) == 0
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
@@ -98,3 +99,71 @@ def test_compare_reproduces_the_widest_order_curve(tmp_path, seed):
     widest = "curve_c400.37"
     assert compared["order_hier_curve.csv"] == ordered[widest + ".csv"]
     assert compared["order_hier_curve.json"] == ordered[widest + ".json"]
+
+
+# Every code point moves up by one fixed offset: the base glyphs, their
+# variation selectors and the unknown corpus tokens all land in plane 1
+# or 2, where no code point is whitespace or a surrogate. Strings compare
+# code point by code point, so id order and every id tie-break stay the
+# same.
+OFFSET = 0x10000
+
+
+def _renamed(text: str) -> str:
+    return "".join(chr(ord(ch) + OFFSET) if ord(ch) > 0x7F else ch for ch in text)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_renaming_ids_in_order_renames_the_outputs(tmp_path, seed):
+    lang = _language(seed)
+    decompositions, counts = lang.decompositions_tsv(), synth.counts_tsv(lang.char_counts)
+    plain = _write_inputs(tmp_path / "plain", decompositions, counts)
+    renamed = _write_inputs(tmp_path / "renamed", _renamed(decompositions), _renamed(counts))
+    expected = {name: _renamed(data.decode("utf-8")).encode("utf-8")
+                for name, data in _run(["order", *plain], tmp_path / "a").items()}
+    assert _run(["order", *renamed], tmp_path / "b") == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_wider_horizon_never_learns_less(tmp_path, seed):
+    lang = _language(seed)
+    flags = _write_inputs(tmp_path / "in", lang.decompositions_tsv(),
+                          synth.counts_tsv(lang.char_counts))
+    widths = ["5.37", "20.37", "60.37", "150.37", "400.37", "900.37", "3000.37"]
+    horizons = [arg for c0 in widths for arg in ("--c0", c0)]
+    results = json.loads(_run(["order", *flags], tmp_path / "out", horizons)["summary.json"])
+    rows = [results["results"][c0] for c0 in widths]
+    for key in ("n_learned", "lambda_f"):
+        values = [row[key] for row in rows]
+        assert values == sorted(values), key
+    assert rows[0]["n_learned"] < rows[-1]["n_learned"]
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 9: the ranking compares float etas, so a new "
+                          "frequency total reorders exact eta ties")
+def test_a_disjoint_family_keeps_the_original_order(tmp_path):
+    # Sixty fresh primitives, contained in no original glyph and counted
+    # on the language's own scale (its top count is 10^6), change only
+    # the corpus total, which divides every share alike. Every seed is
+    # kept, including those where an exact eta tie flips.
+    broken = []
+    for seed in range(20):
+        lang = synth.language(random.Random(seed), 400)
+        rng = random.Random(1000 + seed)
+        fresh = [synth.Glyph(chr(synth.BASE + 400 + j), "p", (), rng.randint(1, 12))
+                 for j in range(60)]
+        counts = {**lang.char_counts, **{g.id: rng.randint(1, 10 ** 6) for g in fresh}}
+        plain = _write_inputs(tmp_path / str(seed) / "plain", lang.decompositions_tsv(),
+                              synth.counts_tsv(lang.char_counts))
+        grown = _write_inputs(tmp_path / str(seed) / "grown",
+                              synth.Language(lang.glyphs + fresh, counts).decompositions_tsv(),
+                              synth.counts_tsv(counts))
+        one = ["--c0", "100.37"]
+        before = _run(["order", *plain], tmp_path / str(seed) / "a", one)["order.txt"]
+        after = _run(["order", *grown], tmp_path / str(seed) / "b", one)["order.txt"]
+        originals = set(before.decode("utf-8").split())
+        kept = [g for g in after.decode("utf-8").split() if g in originals]
+        if kept != before.decode("utf-8").split():
+            broken.append(seed)
+    assert broken == []

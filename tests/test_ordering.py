@@ -887,12 +887,15 @@ def test_brute_force_breaks_float_ties_as_curve_does(case):
     assert got == oracle_brute_force(net, table, set(spec), c0=c0).ids() == list(expected)
 
 
-@pytest.mark.parametrize("spoil", ["negative-frequency", "infinite-cost"])
+@pytest.mark.parametrize("spoil", ["negative-frequency", "infinite-cost", "negative-cost"])
 def test_brute_force_without_pruning_matches_oracle(spoil):
     # Pruning is off for a table that `centralities` cannot give. A
     # negative frequency would break the bound, which assumes that no
     # item takes away from the area; the search must still find the
-    # oracle's order.
+    # oracle's order. With non-negative costs a pool's orders are all
+    # complete or all cut; a negative cost, with `c0` above the pool's
+    # total but below the total without it, puts complete and cut
+    # prefixes into one search.
     rng = random.Random(2718)
     for _ in range(30):
         net = random_network(rng, max_nodes=8, sparse=True)
@@ -900,13 +903,19 @@ def test_brute_force_without_pruning_matches_oracle(spoil):
         entries = dict(random_centralities(rng, net).entries)
         glyph = rng.choice(sorted(pool))
         f, c, _ = entries[glyph]
+        rest = sum(entries[g].c for g in pool if g != glyph)
         if spoil == "negative-frequency":
             f = -rng.uniform(0.1, 1.0)
-        else:
+        elif spoil == "infinite-cost":
             c = math.inf
+        else:
+            c = -rng.uniform(0.3, 0.9) * rest
         entries[glyph] = Centrality(f=f, c=c, eta=benefit_ratio(f, c))
         table = CentralityTable(entries)
-        c0 = 0.6 * sum(table[g].c for g in pool if table[g].c < math.inf)
+        if spoil == "negative-cost":
+            c0 = rest + c - rng.uniform(0.2, 0.8) * c
+        else:
+            c0 = 0.6 * sum(table[g].c for g in pool if table[g].c < math.inf)
         got = brute_force_best_order(net, table, pool, c0=c0)
         assert got.ids() == oracle_brute_force(net, table, pool, c0=c0).ids()
 

@@ -1,6 +1,7 @@
 """Whole programs in fresh interpreters (the command line under two hash
 seeds, every demo script, the modules an import loads, the benchmark's
-traced session), and the package names the benchmark reaches."""
+traced session, the code-line counter), and the package names the
+benchmark reaches."""
 
 import ast
 import json
@@ -96,6 +97,32 @@ def test_demo_runs(tmp_path, script):
     done = python([str(script)], tmp_path)
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_code_line_counter_skips_docstrings_comments_and_blank_lines(tmp_path):
+    # Code lines 3, 6, 8, 9, 11 and 12: a statement split over two lines
+    # counts twice, and a string that is not a docstring counts too.
+    sample = ('"""Module docstring,\n'
+              'over two lines."""\n'
+              'import os\n'
+              '\n'
+              '    # an indented comment line\n'
+              'class C:\n'
+              '    """Class docstring."""\n'
+              '    def f(self, a,\n'
+              '          b):\n'
+              '        """Method docstring."""\n'
+              '        x = "not a docstring"\n'
+              '        return a + b  # a comment after code\n')
+    (tmp_path / "sample.py").write_text(sample, encoding="utf-8")
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "empty.py").write_text("", encoding="utf-8")
+    done = python([str(ROOT / "tools" / "code_lines.py"), "sample.py", "pkg"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().splitlines() == [
+        "     6     12 sample.py",
+        "     0      0 %s" % Path("pkg", "empty.py"),
+        "     6     12 total"]
 
 
 def test_import_loads_only_the_declared_dependencies(tmp_path):
