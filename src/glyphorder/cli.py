@@ -353,8 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Horizons and --max-n are checked before any input file is read.
+        # Horizons, --top-k and --max-n are checked before any input file is read.
         args.c0 = _horizons(args.c0)
+        if args.top_k < 1:
+            raise ValueError("--top-k must be at least 1")
         if getattr(args, "max_n", None) is not None and args.max_n < 1:
             raise ValueError("--max-n must be at least 1")
         was_enabled = gc.isenabled()

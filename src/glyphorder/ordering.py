@@ -461,13 +461,17 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
 
     Once an item is over budget, nothing after it counts: every
     completion of that prefix scores the same, and every over-budget
-    child of one node scores that same cut prefix. So the prefix is
-    scored once, after its in-budget children, for its lexicographically
-    first such completion: its smallest-id over-budget child, then
-    repeatedly the smallest-id ready item. A complete or cut prefix
-    builds its order only when its score is at least the best so far,
-    and an equal score goes to the lexicographically smaller order, so
-    the result does not depend on the order the search runs in.
+    child of one node scores that same cut prefix. So each prefix is
+    scored in one place, after its in-budget children, when it is
+    complete or has an over-budget ready child. Its path is the prefix,
+    plus its smallest-id over-budget child if it is cut. A path whose
+    score is at least the best so far becomes the best, except that an
+    equal score goes to the lexicographically smaller path, so the
+    result does not depend on the order the search runs in. Two scored
+    paths differ before either one ends, so comparing paths picks the
+    same winner as comparing their completions. Only the winning path is
+    completed, by repeatedly adding the smallest-id ready item: the
+    lexicographically first order through it.
 
     An in-budget child is skipped when no completion below it can reach
     the best score, by branch and bound:
@@ -477,15 +481,10 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
       at which item j is learned. This is single-machine total weighted
       completion time under precedence, cut at a horizon.
     - Bound: say the child leaves (area a, cost C, frequency F) and room
-      r = c0 - C. An item j placed later is learned at C_j >= C + c_j,
-      so it adds at most f_j (r - c_j), and nothing unless c_j < r. Every
-      completion's numerator is therefore at most
-      a + F r + sum f_j (r - c_j) over the unplaced j with c_j < r, and,
-      since F and the unplaced frequencies add up to all of them, at
-      most a + (sum of all f) r. The search tests that O(1) form first.
-      Only when it does not prune does it add up the sum, over positive
-      frequencies, cheapest first, up to the first c_j >= r or until the
-      bound reaches the best numerator so far.
+      r = c0 - C. An item j placed later is learned at C_j >= C, so it
+      adds at most f_j r. Since F and the unplaced frequencies add up to
+      all of them, every completion's numerator is at most
+      a + (sum of all f) r, a test of O(1) per child.
     - Floor: nothing is skipped before the first order is scored. With
       no negative cost or frequency, adding an in-budget item never
       lowers a prefix's score, and the ranking puts the greedy choice
@@ -506,10 +505,11 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     - Non-negativity: the bound needs every cost and frequency of the
       pool finite and >= 0 (a negative cost lowers C, a negative
       frequency makes a cut worth more), as `centralities` always gives.
-      For any other table nothing is skipped. A table that can make a
-      score NaN (a NaN cost or frequency, a cost of -inf, or an infinite
-      frequency) has no best order, and which order it gets is
-      unspecified.
+      For any other table the margin is infinite, so the best numerator
+      less the margin stays -inf, even for a NaN score, and nothing is
+      skipped. A table that can make a score NaN (a NaN cost or
+      frequency, a cost of -inf, or an infinite frequency) has no best
+      order, and which order it gets is unspecified.
     """
     pool = expand_selection(net, select)
     if len(pool) > BRUTE_FORCE_LIMIT:
@@ -529,11 +529,10 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     blocked, parents = _precedence(net, ids)
 
     total = sum(freqs)
-    # The items a bound sums over: zero frequencies add nothing to it.
-    by_cost = sorted((costs[j], freqs[j], j) for j in range(n) if freqs[j] > 0)
-    prune = all(0 <= x < math.inf for x in costs + freqs)
-    margin = 1e-9 * c0 * total
-    # The best numerator less the margin: a child whose bound is below it is skipped.
+    # A child whose bound is below the best numerator less the margin is
+    # skipped; an infinite margin, for a table the bound does not hold
+    # on, skips nothing.
+    margin = 1e-9 * c0 * total if all(0 <= x < math.inf for x in costs + freqs) else math.inf
     cutoff = -math.inf
     # Sort keys end in the id, so this is the table's ranking.
     rank = sorted(range(n), key=lambda k: table.sort_key(ids[k]))
@@ -542,35 +541,8 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     best: list[int] = []
     prefix: list[int] = []
 
-    def completion(k: int) -> list[int]:
-        # The prefix, k, then repeatedly the smallest ready node.
-        left = blocked[:]
-        tail = [k]
-        for j in tail:
-            left[j] = -1
-            for parent in parents[j]:
-                left[parent] -= 1
-            if 0 in left:
-                tail.append(left.index(0))
-        return prefix + tail
-
-    def offer(value: float, f: float, k: int | None) -> None:
-        # Score the prefix, complete, or cut at its over-budget child k.
-        nonlocal best_score, best, cutoff
-        score = (value / c0, f)
-        if best_score is not None and score < best_score:
-            return
-        order = prefix[:] if k is None else completion(k)
-        if score == best_score and order > best:
-            return
-        best_score, best = score, order
-        if prune:
-            cutoff = max(cutoff, value - margin)
-
     def search(area: float, c: float, f: float) -> None:
-        if len(prefix) == n:
-            offer(area + f * (c0 - c), f, None)
-            return
+        nonlocal best_score, best, cutoff
         over = n
         for k in rank:
             if blocked[k]:
@@ -580,16 +552,7 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
                 over = min(over, k)
                 continue
             after = area if step == c else area + f * (step - c)
-            room = c0 - step
-            if after + total * room < cutoff:
-                continue
-            bound = after + (f + freqs[k]) * room
-            for cj, fj, j in by_cost:
-                if cj >= room or bound >= cutoff:
-                    break
-                if blocked[j] >= 0 and j != k:
-                    bound += fj * (room - cj)
-            if bound < cutoff:
+            if after + total * (c0 - step) < cutoff:
                 continue
             blocked[k] = -1
             prefix.append(k)
@@ -600,10 +563,24 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
                 blocked[parent] += 1
             prefix.pop()
             blocked[k] = 0
-        if over < n:
-            offer(area + f * (c0 - c), f, over)
+        if over == n and len(prefix) < n:
+            return
+        # The prefix is complete, or cut at its smallest-id over-budget child.
+        value = area + f * (c0 - c)
+        score = (value / c0, f)
+        path = prefix + [over] if over < n else prefix[:]
+        if best_score is None or not (score < best_score or score == best_score and path > best):
+            best_score, best = score, path
+            cutoff = max(cutoff, value - margin)
 
     search(0.0, 0.0, 0.0)
+    # Complete the winning path: repeatedly the smallest-id ready node.
+    for i, k in enumerate(best):
+        blocked[k] = -1
+        for parent in parents[k]:
+            blocked[parent] -= 1
+        if i == len(best) - 1 and 0 in blocked:
+            best.append(blocked.index(0))
     return LearningOrder(items=_make_items(table, [ids[k] for k in best]),
                          provenance=Provenance.BRUTE_FORCE_OPTIMAL)
 

@@ -455,6 +455,18 @@ def test_cluster_max_n_below_one_rejected_before_reading_inputs(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["order", "words", "compare", "validate", "cluster"])
+def test_top_k_below_one_rejected_before_reading_inputs(tmp_path, capsys, command):
+    # `order` used to ignore the value, and `words` rejected it only after
+    # the decompositions were parsed.
+    argv = [command, "order.txt"] if command == "validate" else [command]
+    assert run(*argv, "--out", tmp_path, "--top-k", 0,
+               "--decompositions", tmp_path / "nope.tsv") == 1
+    err = capsys.readouterr().err
+    assert err == "error: --top-k must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_words_pipeline(tmp_path):
     assert run("words", "--out", tmp_path, "--c0", 15) == 0
     names = {p.name for p in tmp_path.iterdir()}
