@@ -481,10 +481,15 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
       at which item j is learned. This is single-machine total weighted
       completion time under precedence, cut at a horizon.
     - Bound: say the child leaves (area a, cost C, frequency F) and room
-      r = c0 - C. An item j placed later is learned at C_j >= C, so it
-      adds at most f_j r. Since F and the unplaced frequencies add up to
-      all of them, every completion's numerator is at most
-      a + (sum of all f) r, a test of O(1) per child.
+      r = c0 - C. An item j placed later is learned at C_j >= C + c_j,
+      so it adds at most f_j (r - c_j), and nothing unless c_j < r. Every
+      completion's numerator is therefore at most
+      a + F r + sum f_j (r - c_j) over the unplaced j with c_j < r, and,
+      since F and the unplaced frequencies add up to all of them, at
+      most a + (sum of all f) r. The search tests that O(1) form first.
+      Only when it does not prune does it add up the sum, over positive
+      frequencies, cheapest first, up to the first c_j >= r or until the
+      bound reaches the best numerator so far.
     - Floor: nothing is skipped before the first order is scored. With
       no negative cost or frequency, adding an in-budget item never
       lowers a prefix's score, and the ranking puts the greedy choice
@@ -529,6 +534,8 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
     blocked, parents = _precedence(net, ids)
 
     total = sum(freqs)
+    # The items a bound sums over: zero frequencies add nothing to it.
+    by_cost = sorted((costs[j], freqs[j], j) for j in range(n) if freqs[j] > 0)
     # A child whose bound is below the best numerator less the margin is
     # skipped; an infinite margin, for a table the bound does not hold
     # on, skips nothing.
@@ -552,7 +559,16 @@ def brute_force_best_order(net: DecompositionNetwork, table: CentralityTable,
                 over = min(over, k)
                 continue
             after = area if step == c else area + f * (step - c)
-            if after + total * (c0 - step) < cutoff:
+            room = c0 - step
+            if after + total * room < cutoff:
+                continue
+            bound = after + (f + freqs[k]) * room
+            for cj, fj, j in by_cost:
+                if cj >= room or bound >= cutoff:
+                    break
+                if blocked[j] >= 0 and j != k:
+                    bound += fj * (room - cj)
+            if bound < cutoff:
                 continue
             blocked[k] = -1
             prefix.append(k)
