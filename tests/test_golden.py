@@ -82,6 +82,15 @@ CASES = {
                                "--include-pure-frequency"],
     "cluster-words": ["cluster", "--mode", "words"],
     "validate-words": ["validate", "--mode", "words", KAHN],
+    # An empty path names a file like any other path; it is not "not given".
+    "order-empty-decompositions": ["order", "--decompositions", ""],
+    "order-empty-frequencies": ["order", "--frequencies", ""],
+    "order-empty-known": ["order", "--known", ""],
+    "order-empty-target": ["order", "--target", ""],
+    "words-empty-word-frequencies": ["words", "--word-frequencies", ""],
+    "compare-empty-target": ["compare", "--include-optimized", "--target", ""],
+    "compare-empty-unused-target": ["compare", KAHN, "--target", ""],
+    "cluster-empty-order": ["cluster", ""],
 }
 
 # One error per ingest check: the bundled file with one line replaced

@@ -1,5 +1,6 @@
 """Network construction, validation, closures, sharers."""
 
+import itertools
 import random
 
 import pytest
@@ -245,13 +246,35 @@ def test_closure_properties_random():
                 assert glyph not in net.closure(member)
 
 
+def _variant_chain(depth: int) -> list[GlyphNode]:
+    """v0, a primitive, and v1 .. v(depth-1), each a variant of the last."""
+    return [GlyphNode("v0", P, (), 1)] + [GlyphNode("v%d" % k, V, ("v%d" % (k - 1),), 1)
+                                          for k in range(1, depth)]
+
+
+def _comb(depth: int) -> list[GlyphNode]:
+    """v0, then v_k = v_(k-1) + p_k for k < depth, each p_k a primitive."""
+    nodes = [GlyphNode("v0", P, (), 1)]
+    for k in range(1, depth):
+        nodes += [GlyphNode("p%d" % k, P, (), 1),
+                  GlyphNode("v%d" % k, C, ("v%d" % (k - 1), "p%d" % k), 2)]
+    return nodes
+
+
+def test_closure_of_a_deep_variant_chain():
+    # Far deeper than Python's recursion limit allows a recursive walk.
+    net = build_network(_variant_chain(1500))
+    assert net.closure("v1499") == tuple("v%d" % k for k in range(1498, -1, -1))
+
+
 def test_closure_cache_consistency_random():
-    # Top-down queries cache every closure the descent finishes on the
-    # way; bottom-up and random-order queries splice closures cached by
-    # earlier ones. Each must equal the uncached depth-first descent.
+    # Query order never changes a closure: asked top-down, bottom-up or
+    # shuffled on a fresh network, each equals the uncached depth-first
+    # walk, on random networks and on two deep shapes.
     rng = random.Random(99)
-    for _ in range(20):
-        net = random_network(rng, max_nodes=20)
+    nets = itertools.chain((random_network(rng, max_nodes=20) for _ in range(20)),
+                           (build_network(_variant_chain(300)), build_network(_comb(300))))
+    for net in nets:
         ids = list(net.ids())
         expected = {g: oracle_closure(net, g) for g in ids}
         shuffled = rng.sample(ids, len(ids))
