@@ -56,7 +56,7 @@ def _read_input(path: str | None, bundled: str = "") -> str:
     else in the bundled corpus. A file that is not UTF-8 raises
     ParseError naming it and the line of its first bad byte."""
     env_dir = os.environ.get(DATA_ENV_VAR)
-    if path or not bundled:
+    if path is not None or not bundled:
         source = Path(path)
     elif env_dir and (Path(env_dir) / bundled).exists():
         source = Path(env_dir) / bundled
@@ -108,7 +108,7 @@ def _load_pipeline(args):
     known: frozenset[str] = frozenset()
     if args.known == "all-primitives":
         known = frozenset(n.id for n in net.nodes() if n.kind.is_primitive)
-    elif args.known:
+    elif args.known is not None:
         known = frozenset(parse_order(_read_input(args.known)))
         for glyph in sorted(known):
             if glyph not in net:
@@ -129,7 +129,7 @@ def _read_order(path: str, net) -> list[str]:
 
 def _selection(net, args) -> tuple[set[str], list[str]]:
     """The --target pool (else the whole network) and missing targets."""
-    if not args.target:
+    if args.target is None:
         return set(net.ids()), []
     return target_pool(net, parse_target_list(_read_input(args.target)))
 
@@ -138,7 +138,7 @@ def _optimized(args, net, freq, params):
     """The optimized order of the --target pool (else the whole network)
     and the missing targets; a targeted run prices only its pool."""
     pool, missing = _selection(net, args)
-    table = centralities(net, freq, params, pool if args.target else None)
+    table = centralities(net, freq, params, None if args.target is None else pool)
     return priority_topo_sort(net, table, pool), missing
 
 
@@ -279,7 +279,7 @@ def cmd_validate(args) -> int:
 
 def cmd_cluster(args) -> int:
     net, freq, params, dropped = _load_pipeline(args)
-    if args.order:
+    if args.order is not None:
         # The whole table: the order file may name any glyph.
         order = external_order(centralities(net, freq, params), _read_order(args.order, net))
         label = Path(args.order).stem

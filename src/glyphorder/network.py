@@ -5,7 +5,7 @@ form, or a multi-character word. Edges point from a container to its
 direct components; the network validates that every reference resolves,
 that node shapes match their kinds, and that the graph is acyclic.
 Closure queries (everything reachable through component edges, in a
-fixed depth-first order, cached per node) serve the charge-unlearned
+fixed depth-first order, each kept once asked) serve the charge-unlearned
 curves and library callers. The ordering and words modules read the
 node dict `_nodes` directly and never change it: they only need each id
 once, or one block's share of a closure, and building every closure
@@ -161,53 +161,28 @@ class DecompositionNetwork:
 
         Deterministic depth-first preorder over the stored component
         order, each id kept at its first visit, `glyph` itself excluded.
-        The descent caches the closure of every node it finishes, so each
-        node's closure is built once, from its components' closures.
+        Each glyph's closure is walked once, from an explicit stack, and
+        the tuple is kept for later calls.
         """
-        cache = self._closure_cache
-        cached = cache.get(glyph)
+        cached = self._closure_cache.get(glyph)
         if cached is not None:
             return cached
         nodes = self._nodes
+        out = []
+        seen = {glyph}
         # Index 2 of a node is its components.
-        stack = [(glyph, iter(self.node(glyph)[2]))]
+        stack = [iter(self.node(glyph)[2])]
         while stack:
-            node, children = stack[-1]
-            for child in children:
-                if child not in cache:
-                    stack.append((child, iter(nodes[child][2])))
+            for child in stack[-1]:
+                if child not in seen:
+                    seen.add(child)
+                    out.append(child)
+                    stack.append(iter(nodes[child][2]))
                     break
             else:
                 stack.pop()
-                cache[node] = _splice(nodes[node][2], cache)
-        return cache[glyph]
-
-
-def _splice(components: tuple[str, ...], cache: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
-    """A node's closure from its components' cached closures.
-
-    A component's closure is the complete preorder of its subtree, so
-    each component followed by the unseen members of its closure is the
-    order a direct descent would produce.
-    """
-    if not components:
-        return ()
-    first = components[0]
-    head = (first,) + cache[first]
-    if len(components) == 1:
-        return head
-    out = list(head)
-    seen = set(head)
-    for child in components[1:]:
-        if child in seen:
-            continue
-        seen.add(child)
-        out.append(child)
-        for member in cache[child]:
-            if member not in seen:
-                seen.add(member)
-                out.append(member)
-    return tuple(out)
+        self._closure_cache[glyph] = result = tuple(out)
+        return result
 
 
 def build_network(nodes: Iterable[GlyphNode],
