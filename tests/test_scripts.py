@@ -1,7 +1,7 @@
 """Whole programs in fresh interpreters (the command line under two hash
 seeds, every demo script, the modules an import loads, the benchmark's
-traced session, the code-line counter), and the package names the
-benchmark reaches."""
+traced session, the code-line counter, the benchmark pair runner), and
+the package names the benchmark reaches."""
 
 import ast
 import json
@@ -123,6 +123,58 @@ def test_code_line_counter_skips_docstrings_comments_and_blank_lines(tmp_path):
         "     6     12 sample.py",
         "     0      0 %s" % Path("pkg", "empty.py"),
         "     6     12 total"]
+
+
+# A stand-in for perfbench/run.py: it logs its checkout and arguments,
+# prints a table line, then the next canned result of its checkout.
+FAKE_RUN = """import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent.parent
+log = here.parent / "log.txt"
+with open(log, "a", encoding="utf-8") as f:
+    f.write("%s %s\\n" % (here.name, " ".join(sys.argv[1:])))
+done = log.read_text(encoding="utf-8").split().count(here.name)
+print("== table")
+print(json.dumps(json.loads((here / "canned.json").read_text(encoding="utf-8"))[done - 1]))
+"""
+
+
+def test_pair_runner_alternates_and_summarizes_canned_pairs(tmp_path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    values = {"setup_s": ([0.10, 0.12, 0.11], [0.09, 0.13, 0.10]),
+              "peak_rss_mb": ([40, 40, 41], [40, 40, 41]),
+              "compare_s": ([0.30, 0.32, 0.31], [0.40, 0.41, 0.39])}
+    flat = ([0.05] * 3, [0.05] * 3)
+    for side, name in enumerate(("parent", "change")):
+        canned = [{"correct": (side, k) != (1, 1), "attempted": 1000,
+                   "failed": 61 if (side, k) == (1, 2) else 60,
+                   "metrics": {m["name"]: {"value": values.get(m["name"], flat)[side][k],
+                                           "unit": m["unit"]} for m in spec["end_to_end"]}}
+                  for k in range(3)]
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
+        (tmp_path / name / "canned.json").write_text(json.dumps(canned), encoding="utf-8")
+    done = python([str(ROOT / "tools" / "bench_pairs.py"), "parent", "change",
+                   "--workload", "score-curricula", "--pairs", "3"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    runs = (tmp_path / "log.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split()[0] for line in runs] == ["parent", "change", "change",
+                                                  "parent", "parent", "change"]
+    assert set(line.split(None, 1)[1] for line in runs) == {"--workload score-curricula --seed 1"}
+    lines = done.stdout.decode().splitlines()
+    assert lines[0].startswith("pair 1 (parent first): setup_s 0.1/0.09, peak_rss_mb 40/40,")
+    assert lines[1].startswith("pair 2 (change first): setup_s 0.12/0.13,")
+    report = {line.split()[0]: line for line in lines[3:]}
+    assert len(report) == len(spec["end_to_end"]) + 2
+    assert report["setup_s"].split() == ["setup_s", "0.11", "->", "0.1", "-9.1%",
+                                         "better", "2/3", "parent", "IQR", "0.01",
+                                         "(0.105-0.115)"]
+    assert report["peak_rss_mb"].split()[4:7] == ["+0.0%", "better", "0/3"]
+    assert report["compare_s"].split()[4:] == ["+29.0%", "better", "0/3", "parent", "IQR",
+                                               "0.01", "(0.305-0.315)", "OVER", "BOUND", "25%"]
+    assert [name for name, line in report.items() if "OVER BOUND" in line] == ["compare_s"]
+    assert report["parent:"] == "parent: failed 180 of 3000 (6.00%), correct in 3 of 3 runs"
+    assert report["change:"] == "change: failed 181 of 3000 (6.03%), correct in 2 of 3 runs"
 
 
 def test_import_loads_only_the_declared_dependencies(tmp_path):
